@@ -2,7 +2,6 @@
 profile sampler evaluating betweenness on a regular time grid for all nodes.
 """
 
-from concurrent.futures import ThreadPoolExecutor
 from typing import NamedTuple
 
 from .contribution import contribution
@@ -29,7 +28,10 @@ def betweenness(stream, tv):
 
 def profile(stream, samples_per_node, threads=1):
     """Betweenness at t_i = alpha + i*(omega-alpha)/samples_per_node for
-    i = 0..samples_per_node, for every node, in deterministic order."""
+    i = 0..samples_per_node, for every node, in deterministic order.
+
+    `threads` is accepted for compatibility and ignored: the samples share
+    the stream's tables, and evaluating them serially is the fastest way."""
     if samples_per_node < 1:
         raise ValueError("samples_per_node must be >= 1")
     span = stream.omega - stream.alpha
@@ -38,12 +40,4 @@ def profile(stream, samples_per_node, threads=1):
         for v in stream.nodes
         for i in range(samples_per_node + 1)
     ]
-    if threads <= 1:
-        values = [betweenness(stream, tv) for tv in points]
-    else:
-        # warm the shared latency-list cache before fanning out
-        for u in stream.nodes:
-            cached_latency_lists(stream, u)
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            values = list(pool.map(lambda tv: betweenness(stream, tv), points))
-    return BetweennessProfile(list(zip(points, values)))
+    return BetweennessProfile([(tv, betweenness(stream, tv)) for tv in points])

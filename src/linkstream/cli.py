@@ -11,7 +11,7 @@ from math import lcm
 
 from .betweenness import betweenness, profile
 from .contribution import contribution
-from .latencies import latency_lists
+from .latencies import cached_latency_lists, latency_lists
 from .numbers import format_decimal, parse_time
 from .oracle import (
     GridError,
@@ -61,7 +61,8 @@ def _build_parser():
 
     p = add("profile", "betweenness sampled on a regular grid for all nodes")
     p.add_argument("--samples", type=int, required=True, metavar="N")
-    p.add_argument("--threads", type=int, default=1, metavar="N")
+    p.add_argument("--threads", type=int, default=1, metavar="N",
+                   help="accepted and ignored: samples are evaluated serially")
     p.add_argument("--format", choices=["csv"], default=None)
 
     return parser
@@ -129,7 +130,7 @@ def _cmd_latencies(args):
 def _cmd_contrib(args):
     stream = _load(args.stream)
     tv = _temporal_node(stream, args.at)
-    lists = latency_lists(stream, args.source)
+    lists = cached_latency_lists(stream, args.source)
     if args.dest not in stream.nodes:
         raise StreamError("unknown node %r" % args.dest)
     res = contribution(stream, args.source, args.dest, tv, lists[args.dest])
@@ -167,9 +168,7 @@ def _cmd_profile(args):
     stream = _load(args.stream)
     if args.samples < 1:
         raise StreamError("--samples must be >= 1")
-    if args.threads < 1:
-        raise StreamError("--threads must be >= 1")
-    result = profile(stream, args.samples, threads=args.threads)
+    result = profile(stream, args.samples)
     sep = "," if args.format == "csv" else " "
     if args.format == "csv":
         print("node,time,betweenness")

@@ -7,12 +7,13 @@ the double time integral collapses to a finite sum of
 cell_area * (volume through the node / total volume) terms.
 """
 
+from bisect import bisect_left, bisect_right
+from operator import itemgetter
 from typing import NamedTuple, Optional
 
-from .latencies import LatencyPair
+from .latencies import LatencyPair, reaches
 from .numbers import Q
-from .shortest_volumes import reachable, vsp
-from .static_graph import bfs_counts
+from .shortest_volumes import vsp
 from .stream import StreamError, TemporalNode
 from .volumes import V_ZERO, vol_add, vol_div, vol_mul
 
@@ -39,16 +40,8 @@ def _dist_gap_before(stream, s, u, w):
     s; None when s == alpha (no gap) or w unreachable there."""
     if s <= stream.alpha:
         return None
-    events = stream.event_times()
-    prev = stream.alpha
-    for t in events:
-        if t >= s:
-            break
-        prev = t
-    if prev == s:
-        return None
-    graph = stream.graph_between(prev, s)
-    return bfs_counts(graph, u).dist.get(w)
+    k = stream.slot(s)
+    return stream.bfs(k - (k & 1), u).dist.get(w)
 
 
 def _dist_gap_after(stream, a, u, w):
@@ -56,15 +49,8 @@ def _dist_gap_after(stream, a, u, w):
     at a; None when a == omega."""
     if a >= stream.omega:
         return None
-    nxt = stream.omega
-    for t in reversed(stream.event_times()):
-        if t <= a:
-            break
-        nxt = t
-    if nxt == a:
-        return None
-    graph = stream.graph_between(a, nxt)
-    return bfs_counts(graph, u).dist.get(w)
+    k = stream.slot(a)
+    return stream.bfs(k + (k & 1), u).dist.get(w)
 
 
 def prev_list(stream, u, w, s, a, ll):
@@ -134,14 +120,16 @@ def next_list(stream, u, w, s, a, ll):
 
 def _anchor_volume(stream, u, w, tv, ll):
     """Anchor latency pair whose shortest fastest paths involve tv, with the
-    volume of those paths; (None, (0,0)) when no pair qualifies."""
+    volume of those paths; (None, (0,0)) when no pair qualifies.
+
+    The anchor is the first pair (x, y) with x <= t <= y such that (x,u)
+    reaches tv and tv reaches (y,w); only its volumes need sweeps."""
     t, v = tv
-    for x, y in ll:
-        if (
-            x <= t <= y
-            and reachable(stream, TemporalNode(x, u), TemporalNode(t, v))
-            and reachable(stream, TemporalNode(t, v), TemporalNode(y, w))
-        ):
+    lo = bisect_left(ll, t, key=itemgetter(1))
+    hi = bisect_right(ll, t, key=itemgetter(0))
+    for k in range(lo, hi):
+        x, y = ll[k]
+        if reaches(stream, (x, u), tv) and reaches(stream, tv, (y, w)):
             vol_tv = V_ZERO
             if (
                 _dist(stream, x, u, y, w)
@@ -206,24 +194,7 @@ def contribution(stream, u, w, tv, ll):
     """Exact contribution of the ordered pair (u, w) to the betweenness of
     the temporal node tv, with the anchor latency pair when non-zero."""
     stream.check_temporal_node(tv)
-    t, v = tv
-    vol_tv = V_ZERO
-    anchor = None
-    for x, y in ll:
-        if (
-            x <= t <= y
-            and reachable(stream, TemporalNode(x, u), TemporalNode(t, v))
-            and reachable(stream, TemporalNode(t, v), TemporalNode(y, w))
-        ):
-            if (
-                _dist(stream, x, u, y, w)
-                == _dist(stream, x, u, t, v) + _dist(stream, t, v, y, w)
-            ):
-                vol_tv = vol_mul(
-                    _vol(stream, x, u, t, v), _vol(stream, t, v, y, w)
-                )
-            anchor = LatencyPair(x, y)
-            break
+    anchor, vol_tv = _anchor_volume(stream, u, w, tv, ll)
     if vol_tv.is_zero():
         return ContributionResult(Q(0), None)
     s, a = anchor

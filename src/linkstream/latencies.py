@@ -6,11 +6,11 @@ have event-time coordinates; the lists record instantaneous pairs at event
 times only (the continuum between event times is implied).
 """
 
+from bisect import bisect_left
+from operator import itemgetter
 from typing import NamedTuple
-from weakref import WeakKeyDictionary
 
 from .numbers import Q
-from .static_graph import bfs_counts, connected_components
 from .stream import StreamError
 
 
@@ -62,10 +62,9 @@ def latency_lists(stream, u):
     if u not in stream.nodes:
         raise StreamError("unknown node %r" % u)
     ll = {w: [] for w in stream.nodes}
-    for t in stream.event_times():
+    for i, t in enumerate(stream.event_times()):
         ll[u].append((t, t))
-        graph = stream.graph_at(t)
-        for comp in connected_components(graph):
+        for comp in stream.components(2 * i + 1):
             s = None
             maximizers = set()
             for w in comp:
@@ -83,19 +82,28 @@ def latency_lists(stream, u):
     return {w: LatencyList(pairs) for w, pairs in ll.items()}
 
 
-_LL_CACHE = WeakKeyDictionary()
-
-
 def cached_latency_lists(stream, u):
-    per_stream = _LL_CACHE.get(stream)
-    if per_stream is None:
-        per_stream = {}
-        _LL_CACHE[stream] = per_stream
-    lists = per_stream.get(u)
+    """latency_lists(stream, u), cached on the stream."""
+    lists = stream._latency_lists.get(u)
     if lists is None:
         lists = latency_lists(stream, u)
-        per_stream[u] = lists
+        stream._latency_lists[u] = lists
     return lists
+
+
+def reaches(stream, src, dst):
+    """True iff some path leads from src to dst, decided without a sweep:
+    the nodes are equal or connected at src.time, or the first latency pair
+    starting at or after src.time arrives by dst.time."""
+    x, u = src
+    t, v = dst
+    if x > t:
+        return False
+    if u == v or v in stream.bfs(stream.slot(x), u).dist:
+        return True
+    ll = cached_latency_lists(stream, u)[v]
+    k = bisect_left(ll, x, key=itemgetter(0))
+    return k < len(ll) and ll[k][1] <= t
 
 
 def latency(stream, src, dst_node, arrive_by=None):
@@ -115,7 +123,7 @@ def latency(stream, src, dst_node, arrive_by=None):
         return None
     if u == dst_node:
         return Q(0)
-    if dst_node in bfs_counts(stream.graph_at(x), u).dist:
+    if dst_node in stream.bfs(stream.slot(x), u).dist:
         return Q(0)
     best = None
     for s, a in cached_latency_lists(stream, u)[dst_node]:

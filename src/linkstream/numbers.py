@@ -3,7 +3,7 @@
 All times and volume sizes are exact rationals.  The backend is gmpy2's
 ``mpq`` when available (much faster), with ``fractions.Fraction`` as a
 pure-Python fallback.  Set ``LINKSTREAM_BACKEND=fractions`` to force the
-fallback (used by the backend benchmark).
+fallback.
 """
 
 import os

@@ -7,13 +7,14 @@ sigma * (t'-t)^d / d! terms (one per shortest path of length d in the gap
 graph); arriving exactly at t' adds the volumes of neighbors one link closer.
 
 Tables from a fixed source are cached on the stream, so repeated queries
-(contribution and betweenness make many) cost one sweep per source.
+(contribution and betweenness make many) cost one sweep per source.  Gap
+graphs and their BFS tables do not depend on the source: the stream's slot
+tables hold them once for every sweep.
 """
 
 from bisect import bisect_right
 from math import factorial
 from typing import NamedTuple
-from weakref import WeakKeyDictionary
 
 from .numbers import Q
 from .static_graph import bfs_counts
@@ -42,47 +43,45 @@ def _gap_volume(sigma, span, d):
     return Volume(sigma * span**d / factorial(d), d)
 
 
-def _advance(stream, t, t2, dist_t, vol_t):
-    """One sweep step from event time t to the next time t2."""
-    g_next = stream.graph_at(t2)
-    g_plus = stream.graph_between(t, t2)
-    order = {v: k for k, v in enumerate(stream.nodes)}
+def _advance(stream, gap, nxt, span, dist_t, vol_t):
+    """One sweep step across an open gap of length `span` (graph of slot
+    `gap`) to the next time (graph of slot `nxt`)."""
+    g_next = stream.snapshot(nxt)
 
     # distances: a merge of the carried-over distances (list X) and a BFS of
-    # g_next (queue Q); both fronts are non-decreasing in d.  Ties take X
-    # first, then the lower node index.
-    xs = sorted(((d, order[w], w) for w, d in dist_t.items()))
+    # g_next (queue Q); both fronts are non-decreasing in d, and so is the
+    # insertion order of every distance map.
+    xs = list(dist_t.items())
     xi = 0
     queue = []
     qi = 0
     dist = {}
     while xi < len(xs) or qi < len(queue):
-        if qi >= len(queue) or (xi < len(xs) and xs[xi][0] <= queue[qi][0]):
-            d, _, w = xs[xi]
+        if qi >= len(queue) or (xi < len(xs) and xs[xi][1] <= queue[qi][1]):
+            w, d = xs[xi]
             xi += 1
         else:
-            d, w = queue[qi]
+            w, d = queue[qi]
             qi += 1
         if w in dist:
             continue
         dist[w] = d
         for y in g_next.neighbors(w):
             if y not in dist:
-                queue.append((d + 1, y))
+                queue.append((y, d + 1))
 
     # volumes, in increasing distance so strictly-closer terms are final
-    span = t2 - t
     vol = {}
-    for w in sorted(dist, key=lambda w: (dist[w], order[w])):
+    for w, dw in dist.items():
         acc = V_ZERO
-        dw = dist[w]
-        gap = bfs_counts(g_plus, w)
-        for x, dx in dist_t.items():
-            dp = gap.dist.get(x)
-            if dp is not None and dx + dp == dw:
-                acc = vol_add(
-                    acc, vol_mul(vol_t[x], _gap_volume(gap.count[x], span, dp))
-                )
+        gap_paths = stream.bfs(gap, w)
+        for x, dp in gap_paths.dist.items():
+            dx = dist_t.get(x)
+            if dx is not None and dx + dp == dw:
+                term = vol_t[x]
+                if dp:
+                    term = vol_mul(term, _gap_volume(gap_paths.count[x], span, dp))
+                acc = vol_add(acc, term)
         for y in g_next.neighbors(w):
             if dist.get(y) == dw - 1:
                 acc = vol_add(acc, vol[y])
@@ -97,18 +96,21 @@ class SweepTables:
     def __init__(self, stream, i, u):
         self.stream = stream
         self.source = (i, u)
-        times = [i]
-        for t in stream.event_times():
-            if t > i:
-                times.append(t)
+        events = stream._event_times
+        first = bisect_right(events, i)
+        times = [i] + events[first:]
+        # (gap slot, arrival slot) of each step: event k sits in slot 2k+1
+        # behind the gap 2k; omega past the last event sits in that gap
+        steps = [(2 * k, 2 * k + 1) for k in range(first, len(events))]
         if times[-1] < stream.omega:
             times.append(stream.omega)
-        init = bfs_counts(stream.graph_at(i), u)
+            steps.append((2 * len(events), 2 * len(events)))
+        init = stream.bfs(stream.slot(i), u)
         dist = dict(init.dist)
         vol = {w: Volume(Q(init.count[w]), 0) for w in dist}
         states = [(dist, vol)]
-        for t, t2 in zip(times, times[1:]):
-            dist, vol = _advance(stream, t, t2, dist, vol)
+        for (gap, nxt), t, t2 in zip(steps, times, times[1:]):
+            dist, vol = _advance(stream, gap, nxt, t2 - t, dist, vol)
             states.append((dist, vol))
         self.times = times
         self.states = states
@@ -124,25 +126,21 @@ class SweepTables:
             return self.states[k]
         state = self._extensions.get(j)
         if state is None:
+            # every event time after the source is on the table, so j lies
+            # in a gap, which is also the graph at j
+            slot = self.stream.slot(j)
             dist, vol = self.states[k]
-            state = _advance(self.stream, self.times[k], j, dist, vol)
+            state = _advance(self.stream, slot, slot, j - self.times[k], dist, vol)
             self._extensions[j] = state
         return state
 
 
-_CACHE = WeakKeyDictionary()
-
-
 def sweep_tables(stream, i, u):
-    """Cached SweepTables for source (i, u)."""
-    per_stream = _CACHE.get(stream)
-    if per_stream is None:
-        per_stream = {}
-        _CACHE[stream] = per_stream
-    tables = per_stream.get((i, u))
+    """SweepTables for source (i, u), cached on the stream."""
+    tables = stream._sweeps.get((i, u))
     if tables is None:
         tables = SweepTables(stream, i, u)
-        per_stream[(i, u)] = tables
+        stream._sweeps[(i, u)] = tables
     return tables
 
 

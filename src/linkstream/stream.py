@@ -9,6 +9,7 @@ from bisect import bisect_left, bisect_right
 from typing import NamedTuple
 
 from .numbers import parse_time
+from .static_graph import bfs_counts, connected_components
 
 
 class StreamError(ValueError):
@@ -88,7 +89,8 @@ class SnapshotGraph:
 
 
 class LinkStream:
-    """Immutable after construction; snapshot graphs are cached lazily."""
+    """Immutable after construction; the tables shared by queries are
+    filled lazily."""
 
     def __init__(self, alpha, omega, nodes, presence):
         if alpha > omega:
@@ -119,11 +121,15 @@ class LinkStream:
         for ivs in self.presence.values():
             times.update(ivs.bounds())
         self._event_times = sorted(times)
-        # snapshot caches: index i -> graph at event time i; gap index g ->
-        # graph on the open gap before event time g (g == len(T) is the gap
-        # after the last event time; with no event times, gap 0 covers all).
-        self._at_event = {}
-        self._in_gap = {}
+        # Tables that do not depend on a query's source, filled on first use
+        # and shared by every query.  Slot 2i+1 is event time i and slot 2i
+        # the open gap before it (slot 2n is the gap after the last of n
+        # event times; with none, slot 0 covers the window).
+        self._snapshots = None  # slot -> SnapshotGraph
+        self._components = {}  # slot -> connected components
+        self._bfs = {}  # (slot, node) -> BfsResult
+        self._sweeps = {}  # (time, node) -> shortest_volumes.SweepTables
+        self._latency_lists = {}  # node -> latencies.latency_lists result
 
     # -- basic queries ----------------------------------------------------
 
@@ -141,31 +147,51 @@ class LinkStream:
     def graph_at(self, t):
         """The instantaneous graph G_t."""
         self._check_time(t)
+        return self.snapshot(self.slot(t))
+
+    def slot(self, t):
+        """Index of the slot holding time t: 2i+1 at event time i, 2i on the
+        open gap before it."""
         ev = self._event_times
         i = bisect_left(ev, t)
-        if i < len(ev) and ev[i] == t:
-            g = self._at_event.get(i)
-            if g is None:
-                g = self._build_snapshot(t)
-                self._at_event[i] = g
-            return g
-        g = self._in_gap.get(i)
-        if g is None:
-            g = self._build_snapshot(t)
-            self._in_gap[i] = g
-        return g
+        return 2 * i + 1 if i < len(ev) and ev[i] == t else 2 * i
 
-    def slot_of(self, t):
-        """Opaque snapshot-constancy key: equal for times with identical G_t."""
-        ev = self._event_times
-        i = bisect_left(ev, t)
-        if i < len(ev) and ev[i] == t:
-            return ("event", i)
-        return ("gap", i)
+    def snapshot(self, k):
+        """The graph of slot k; all slots are built in one pass over the
+        sorted interval endpoints on first use."""
+        if self._snapshots is None:
+            starts, ends = {}, {}
+            for pair, ivs in self.presence.items():
+                for b, e in ivs:
+                    starts.setdefault(b, []).append(pair)
+                    ends.setdefault(e, []).append(pair)
+            active = {}  # insertion-ordered set of present pairs
+            graphs = [SnapshotGraph(self.nodes, ())]
+            for t in self._event_times:
+                active.update(dict.fromkeys(starts.get(t, ())))
+                graphs.append(SnapshotGraph(self.nodes, active))
+                for pair in ends.get(t, ()):
+                    del active[pair]
+                graphs.append(SnapshotGraph(self.nodes, active))
+            self._snapshots = graphs
+        return self._snapshots[k]
 
-    def _build_snapshot(self, t):
-        edges = [pair for pair, ivs in self.presence.items() if t in ivs]
-        return SnapshotGraph(self.nodes, edges)
+    def components(self, k):
+        """Connected components of the graph of slot k (cached)."""
+        comps = self._components.get(k)
+        if comps is None:
+            comps = connected_components(self.snapshot(k))
+            self._components[k] = comps
+        return comps
+
+    def bfs(self, k, w):
+        """BFS distances and path counts from w in the graph of slot k
+        (cached)."""
+        res = self._bfs.get((k, w))
+        if res is None:
+            res = bfs_counts(self.snapshot(k), w)
+            self._bfs[(k, w)] = res
+        return res
 
     def graph_between(self, t, t2):
         """The constant graph on the open gap ]t, t2[ (no event time may lie

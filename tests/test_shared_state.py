@@ -1,0 +1,108 @@
+"""Tables a stream shares across queries: the sweep-free reachability rule,
+query-order independence of betweenness, and release of queried streams."""
+
+import gc
+import weakref
+
+from linkstream import (
+    LinkStream,
+    Q,
+    TemporalNode,
+    betweenness,
+    parse_stream,
+    reachable,
+)
+from linkstream.latencies import reaches
+
+from conftest import DEMO_TEXT, random_stream, seeded
+
+
+def quarter_stream(rng, max_nodes=5, max_segments=8, horizon=10):
+    """Small random stream with event times on the quarter lattice."""
+    n = rng.randint(2, max_nodes)
+    nodes = [chr(ord("a") + i) for i in range(n)]
+    presence = {}
+    for _ in range(rng.randint(1, max_segments)):
+        u, v = rng.sample(nodes, 2)
+        b = rng.randint(0, 4 * horizon - 1)
+        e = rng.randint(b, min(4 * horizon, b + rng.randint(0, 12)))
+        key = (u, v) if u < v else (v, u)
+        presence.setdefault(key, []).append((Q(b, 4), Q(e, 4)))
+    return LinkStream(Q(0), Q(horizon), nodes, presence)
+
+
+def probe_times(stream):
+    """Window ends, event times and the midpoint of every gap."""
+    bounds = [stream.alpha, *stream.event_times(), stream.omega]
+    mids = [(a + b) / 2 for a, b in zip(bounds, bounds[1:]) if a < b]
+    return sorted(set(bounds + mids))
+
+
+def assert_reaches_matches_sweep(stream):
+    times = probe_times(stream)
+    checked = 0
+    for x in times:
+        for t in times:
+            if t < x:
+                continue
+            for u in stream.nodes:
+                for v in stream.nodes:
+                    src, dst = TemporalNode(x, u), TemporalNode(t, v)
+                    assert reaches(stream, src, dst) == reachable(stream, src, dst), (
+                        stream.serialize(), src, dst
+                    )
+                    checked += 1
+    return checked
+
+
+class TestReaches:
+    def test_matches_sweep_on_integer_streams(self):
+        rng = seeded(2102)
+        assert sum(
+            assert_reaches_matches_sweep(random_stream(rng)) for _ in range(15)
+        ) > 1000
+
+    def test_matches_sweep_on_quarter_streams(self):
+        rng = seeded(643)
+        assert sum(
+            assert_reaches_matches_sweep(quarter_stream(rng)) for _ in range(15)
+        ) > 1000
+
+    def test_never_backwards_in_time(self, demo):
+        src = TemporalNode(Q(10), "a")
+        for v in demo.nodes:
+            assert not reaches(demo, src, TemporalNode(Q(9), v))
+
+
+class TestSharedTables:
+    def test_betweenness_independent_of_earlier_queries(self):
+        rng = seeded(77)
+        for _ in range(10):
+            shared = random_stream(rng)
+            times = probe_times(shared)
+            queries = [
+                TemporalNode(t, v)
+                for t in rng.sample(times, min(4, len(times)))
+                for v in rng.sample(shared.nodes, min(2, len(shared.nodes)))
+            ]
+            # a new LinkStream on the same data (a re-parse would drop the
+            # isolated nodes), so every query starts from empty tables
+            fresh = [
+                betweenness(
+                    LinkStream(shared.alpha, shared.omega, shared.nodes, shared.presence),
+                    tv,
+                )
+                for tv in queries
+            ]
+            order = list(range(len(queries)))
+            rng.shuffle(order)
+            reused = {k: betweenness(shared, queries[k]) for k in order}
+            assert [reused[k] for k in range(len(queries))] == fresh, shared.serialize()
+
+    def test_queried_stream_is_freed(self):
+        stream = parse_stream(DEMO_TEXT)
+        betweenness(stream, TemporalNode(Q(9, 2), "c"))
+        ref = weakref.ref(stream)
+        del stream
+        gc.collect()
+        assert ref() is None
