@@ -22,7 +22,7 @@ from .latencies import (
     latency,
     latency_lists,
 )
-from .numbers import BACKEND, Q, format_decimal, parse_time
+from .numbers import Q, format_decimal, parse_time
 from .oracle import (
     GridError,
     GridSpec,
@@ -56,7 +56,6 @@ from .volumes import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BACKEND",
     "BetweennessProfile",
     "BfsResult",
     "BoundaryList",

@@ -30,14 +30,89 @@ def profile(stream, samples_per_node, threads=1):
     """Betweenness at t_i = alpha + i*(omega-alpha)/samples_per_node for
     i = 0..samples_per_node, for every node, in deterministic order.
 
+    Values are exact, and the number of `betweenness` evaluations grows with
+    the number of gaps between event times, not with the number of samples.
+    Samples at event times are evaluated directly.  On the open gap of slot
+    k, B(t, v) is a polynomial in t of degree at most D = 2*ecc_k(v), where
+    ecc_k(v) is the eccentricity of v in the gap graph:
+
+    - the gap graph, its distances and components, the latency lists, and so
+      the anchor (x, y) of every pair, the reachability and distance tests,
+      the prev/next boundary lists, cell areas and denominators are the
+      same for every t in the gap; t enters only through vol_tv =
+      vol((x,u)->(t,v)) * vol((t,v)->(y,w));
+    - vol((x,u)->(t,v)) extends the sweep state at t_k across t - t_k with
+      terms sigma*(t-t_k)^dp/dp! where dp is a gap distance to v, so
+      dp <= ecc_k(v) (one-link-closer arrival terms have a lower dimension
+      and vanish in the sum);
+    - vol((t,v)->(y,w)) starts from the gap BFS of v, and its first sweep
+      step crosses t_{k+1} - t with terms that need d(v,x) + dp = d(v,w'),
+      so dp <= ecc_k(v) too; later steps are linear in its result.
+
+    A gap with more than D + 2 samples is evaluated at D + 1 spread samples,
+    interpolated exactly in Newton form, and checked at one more sample;
+    should the check fail, every sample of that gap is evaluated directly.
+
     `threads` is accepted for compatibility and ignored: the samples share
     the stream's tables, and evaluating them serially is the fastest way."""
     if samples_per_node < 1:
         raise ValueError("samples_per_node must be >= 1")
     span = stream.omega - stream.alpha
-    points = [
-        TemporalNode(stream.alpha + Q(i) * span / samples_per_node, v)
-        for v in stream.nodes
+    times = [
+        stream.alpha + Q(i) * span / samples_per_node
         for i in range(samples_per_node + 1)
     ]
-    return BetweennessProfile([(tv, betweenness(stream, tv)) for tv in points])
+    by_slot = {}  # slot -> the distinct sample times in it, ascending
+    for t in dict.fromkeys(times):
+        by_slot.setdefault(stream.slot(t), []).append(t)
+    samples = []
+    for v in stream.nodes:
+        values = {}
+        for k, ts in by_slot.items():
+            if k & 1:
+                values.update(zip(ts, _direct(stream, v, ts)))
+            else:
+                values.update(zip(ts, _gap_values(stream, k, v, ts)))
+        samples.extend((TemporalNode(t, v), values[t]) for t in times)
+    return BetweennessProfile(samples)
+
+
+def _direct(stream, v, ts):
+    return [betweenness(stream, TemporalNode(t, v)) for t in ts]
+
+
+def _degree_bound(stream, k, v):
+    """Degree of B(., v) on the open gap of slot k is at most this."""
+    return 2 * max(stream.bfs(k, v).dist.values())
+
+
+def _gap_values(stream, k, v, ts):
+    """Exact betweenness of (t, v) for the ascending times ts, all inside the
+    open gap of slot k."""
+    degree = _degree_bound(stream, k, v)
+    if len(ts) <= degree + 2:
+        return _direct(stream, v, ts)
+    xs = [ts[j * (len(ts) - 1) // max(degree, 1)] for j in range(degree + 1)]
+    rest = [t for t in ts if t not in xs]
+    check = rest[len(rest) // 2]
+    coef = _newton_coefficients(xs, _direct(stream, v, xs))
+    if _newton_value(coef, xs, check) != _direct(stream, v, [check])[0]:
+        return _direct(stream, v, ts)
+    return [_newton_value(coef, xs, t) for t in ts]
+
+
+def _newton_coefficients(xs, ys):
+    """Divided differences f[x0], f[x0,x1], ..., f[x0..xn]."""
+    coef = list(ys)
+    for j in range(1, len(xs)):
+        for i in range(len(xs) - 1, j - 1, -1):
+            coef[i] = (coef[i] - coef[i - 1]) / (xs[i] - xs[i - j])
+    return coef
+
+
+def _newton_value(coef, xs, t):
+    """The Newton form with coefficients coef on the nodes xs, at t."""
+    acc = coef[-1]
+    for c, x in zip(reversed(coef[:-1]), reversed(xs[:-1])):
+        acc = acc * (t - x) + c
+    return acc

@@ -23,6 +23,18 @@ from .shortest_volumes import vsp
 from .stream import StreamError, TemporalNode, parse_stream
 
 
+def _digits(text):
+    """argparse type of --decimal: an int >= 0."""
+    try:
+        n = int(text)
+    except ValueError:
+        msg = "invalid int value: %r" % text
+        raise argparse.ArgumentTypeError(msg) from None
+    if n < 0:
+        raise argparse.ArgumentTypeError("must be >= 0, got %d" % n)
+    return n
+
+
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="linkstream",
@@ -34,7 +46,7 @@ def _build_parser():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--stream", required=True, metavar="FILE",
                        help="link-stream file")
-        p.add_argument("--decimal", type=int, metavar="N",
+        p.add_argument("--decimal", type=_digits, metavar="N",
                        help="render numbers with N decimal places")
         return p
 

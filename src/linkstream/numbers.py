@@ -1,32 +1,13 @@
 """Exact rational time arithmetic.
 
-All times and volume sizes are exact rationals.  The backend is gmpy2's
-``mpq`` when available (much faster), with ``fractions.Fraction`` as a
-pure-Python fallback.  Set ``LINKSTREAM_BACKEND=fractions`` to force the
-fallback.
+All times and volume sizes are exact rationals: ``Q`` is
+``fractions.Fraction``.
 """
 
-import os
 import re
 from fractions import Fraction
 
-_forced = os.environ.get("LINKSTREAM_BACKEND", "").lower()
-
-if _forced in ("", "gmpy2"):
-    try:
-        from gmpy2 import mpq as Q
-        BACKEND = "gmpy2"
-    except ImportError:
-        if _forced == "gmpy2":
-            raise
-        Q = Fraction
-        BACKEND = "fractions"
-else:
-    Q = Fraction
-    BACKEND = "fractions"
-
-ZERO = Q(0)
-ONE = Q(1)
+Q = Fraction
 
 # optional sign, then decimal (12, 4.5, .5) or p/q
 _TIME_RE = re.compile(r"[+-]?(\d+(\.\d*)?|\.\d+|\d+/\d+)$")
@@ -37,24 +18,27 @@ def parse_time(text):
     text = text.strip()
     if not _TIME_RE.match(text):
         raise ValueError("invalid time literal: %r" % text)
-    f = Fraction(text)
-    return Q(f.numerator, f.denominator)
+    try:
+        return Q(text)
+    except ZeroDivisionError:
+        msg = "zero denominator in time literal: %r" % text
+        raise ValueError(msg) from None
 
 
 def as_q(value):
-    """Coerce an int, Fraction or backend rational to the backend type."""
+    """Coerce an int or Fraction to Q."""
     if isinstance(value, Q):
         return value
     if isinstance(value, int):
         return Q(value)
-    if isinstance(value, Fraction):
-        return Q(value.numerator, value.denominator)
     raise TypeError("cannot convert %r to an exact rational" % (value,))
 
 
 def format_decimal(value, digits):
     """Render an exact rational as a decimal string with `digits` places,
     rounding half away from zero."""
+    if digits < 0:
+        raise ValueError("digits must be >= 0, got %d" % digits)
     num, den = value.numerator, value.denominator
     sign = "-" if num < 0 else ""
     num = abs(num)

@@ -7,11 +7,12 @@ from typing import NamedTuple
 
 class BfsResult(NamedTuple):
     dist: dict  # node -> int, absent when unreachable
-    count: dict  # node -> int, number of shortest paths (0 when unreachable)
+    count: dict  # node -> int, shortest-path count, absent when unreachable
 
 
 def bfs_counts(graph, source):
-    """BFS distances and shortest-path counts from `source`."""
+    """BFS distances and shortest-path counts from `source`.  Nodes that
+    `source` cannot reach are absent from both `dist` and `count`."""
     if source not in graph.adjacency:
         raise KeyError("unknown source %r" % source)
     dist = {source: 0}

@@ -213,18 +213,24 @@ class LinkStream:
     # -- serialization ----------------------------------------------------
 
     def serialize(self):
+        """The stream in the file format of `parse_stream`; nodes without a
+        link get a line of their own."""
         lines = ["%s %s" % (self.alpha, self.omega)]
+        linked = set()
         for (u, v) in sorted(self.presence):
+            linked.update((u, v))
             for b, e in self.presence[(u, v)]:
                 lines.append("%s %s %s %s" % (u, v, b, e))
+        lines.extend(v for v in self.nodes if v not in linked)
         return "\n".join(lines) + "\n"
 
 
 def parse_stream(text):
     """Parse the link-stream file format.
 
-    Line 1 holds `alpha omega`; every following non-comment line is
-    `u v b e` declaring a presence interval [b, e] for the pair uv.
+    Line 1 holds `alpha omega`; every following non-comment line is either
+    `u v b e`, declaring a presence interval [b, e] for the pair uv, or a
+    single node name `u`, declaring a node (which may have no link).
     `#` starts a comment.  Overlapping or touching intervals on one pair
     are merged silently.
     """
@@ -244,8 +250,11 @@ def parse_stream(text):
             except ValueError as exc:
                 raise StreamError("line %d: %s" % (lineno, exc)) from None
             continue
+        if len(fields) == 1:
+            nodes.add(fields[0])
+            continue
         if len(fields) != 4:
-            raise StreamError("line %d: expected `u v b e`" % lineno)
+            raise StreamError("line %d: expected `u v b e` or `u`" % lineno)
         u, v = fields[0], fields[1]
         if u == v:
             raise StreamError("line %d: self-link on node %r" % (lineno, u))

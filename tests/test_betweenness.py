@@ -1,3 +1,6 @@
+import importlib
+from collections import Counter
+
 import pytest
 
 from linkstream import (
@@ -136,3 +139,79 @@ class TestProfile:
     def test_invalid_sample_count(self, demo):
         with pytest.raises(ValueError):
             profile(demo, 0)
+
+
+per_gap = importlib.import_module("linkstream.betweenness")
+
+
+def with_isolated_node(stream, scale=1):
+    """The stream with every time divided by `scale` and a node "z" that
+    has no link in the whole window."""
+    presence = {
+        pair: [(b / scale, e / scale) for b, e in ivs]
+        for pair, ivs in stream.presence.items()
+    }
+    return LinkStream(
+        stream.alpha / scale, stream.omega / scale,
+        list(stream.nodes) + ["z"], presence,
+    )
+
+
+def direct(stream, prof):
+    """Every sample of `prof` evaluated on its own, on a new stream."""
+    fresh = LinkStream(stream.alpha, stream.omega, stream.nodes, stream.presence)
+    return [(tv, betweenness(fresh, tv)) for tv, _ in prof.samples]
+
+
+class TestPerGapProfile:
+    def test_matches_direct_evaluation(self):
+        rng = seeded(505)
+        seen = set()
+        for case in range(8):
+            stream = with_isolated_node(random_stream(rng), 4 if case % 2 else 1)
+            for n in (1, 7, 40, 120):
+                prof = profile(stream, n)
+                assert prof.samples == direct(stream, prof), (n, stream.serialize())
+                per_slot = Counter(
+                    (stream.slot(tv.time), tv.node) for tv, _ in prof.samples
+                )
+                for (k, v), count in per_slot.items():
+                    if k & 1:
+                        seen.add("event time")
+                    elif count <= per_gap._degree_bound(stream, k, v) + 2:
+                        seen.add("direct gap")
+                    else:
+                        seen.add("interpolated gap")
+        assert seen == {"event time", "direct gap", "interpolated gap"}
+
+    def test_forced_fallback_stays_exact(self, demo, monkeypatch):
+        eccentric = [
+            k for k in range(0, 2 * len(demo.event_times()) + 1, 2)
+            if any(max(demo.bfs(k, v).dist.values()) >= 1 for v in demo.nodes)
+        ]
+        assert eccentric
+        monkeypatch.setattr(per_gap, "_degree_bound", lambda stream, k, v: 0)
+        prof = profile(demo, 40)
+        expected = direct(demo, prof)
+        assert prof.samples == expected
+        # some gap is not constant, so a degree-0 fit fails its check there
+        by_gap = {}
+        for tv, value in expected:
+            k = demo.slot(tv.time)
+            if not k & 1:
+                by_gap.setdefault((k, tv.node), set()).add(value)
+        assert any(len(values) > 1 for values in by_gap.values())
+
+    def test_evaluations_grow_with_gaps(self, demo, monkeypatch):
+        calls = []
+        evaluate = per_gap.betweenness
+
+        def counted(stream, tv):
+            calls.append(tv)
+            return evaluate(stream, tv)
+
+        monkeypatch.setattr(per_gap, "betweenness", counted)
+        fresh = LinkStream(demo.alpha, demo.omega, demo.nodes, demo.presence)
+        prof = profile(fresh, 1000)
+        assert len(prof.samples) == 5005
+        assert len(calls) < 1000

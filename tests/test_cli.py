@@ -136,6 +136,14 @@ class TestProfile:
         first = out.splitlines()[0].split(" ")
         assert first[0] == "a" and first[1] == "0"
 
+    def test_negative_decimal_is_usage_error(self, capsys, demo_path):
+        code, out, err = invoke(
+            capsys, "profile", "--stream", demo_path,
+            "--samples", "2", "--decimal", "-1",
+        )
+        assert code == 2 and out == ""
+        assert "--decimal" in err
+
     def test_bad_samples(self, capsys, demo_path):
         code, _, err = invoke(
             capsys, "profile", "--stream", demo_path, "--samples", "0",

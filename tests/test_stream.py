@@ -6,6 +6,8 @@ from linkstream import (
     Q,
     StreamError,
     TemporalNode,
+    betweenness,
+    format_decimal,
     parse_stream,
     parse_time,
 )
@@ -28,6 +30,23 @@ class TestParseTime:
         for bad in ["", "x", "1.2.3", "1/0x", "nan", "1e3"]:
             with pytest.raises(ValueError):
                 parse_time(bad)
+
+    def test_rejects_zero_denominator(self):
+        with pytest.raises(ValueError, match="zero denominator"):
+            parse_time("1/0")
+        with pytest.raises(StreamError, match="line 1"):
+            parse_stream("0 1/0\na b 0 1\n")
+
+
+class TestFormatDecimal:
+    def test_rounds_half_away_from_zero(self):
+        assert format_decimal(Q(81, 2), 0) == "41"
+        assert format_decimal(Q(-1, 8), 2) == "-0.13"
+        assert format_decimal(Q(1, 3), 3) == "0.333"
+
+    def test_rejects_negative_digits(self):
+        with pytest.raises(ValueError):
+            format_decimal(Q(1, 2), -1)
 
 
 class TestIntervalSet:
@@ -80,6 +99,24 @@ class TestParseStream:
         assert again.serialize() == text
         assert again.presence == demo.presence
         assert (again.alpha, again.omega) == (demo.alpha, demo.omega)
+
+    def test_roundtrip_keeps_isolated_nodes(self):
+        stream = LinkStream(
+            Q(0), Q(10), ["a", "b", "x"], {("a", "b"): [(Q(1), Q(9))]}
+        )
+        text = stream.serialize()
+        assert text.splitlines()[-1] == "x"
+        again = parse_stream(text)
+        assert again.nodes == ("a", "b", "x")
+        assert again.serialize() == text
+        assert betweenness(again, TemporalNode(Q(5), "x")) == 0
+
+    def test_node_line_declares_node(self):
+        stream = parse_stream("0 10\nq\na b 1 2\n")
+        assert stream.nodes == ("a", "b", "q")
+        assert stream.segment_count() == 1
+        with pytest.raises(StreamError, match="line 2"):
+            parse_stream("0 10\na b 1\n")
 
 
 class TestEventTimes:
