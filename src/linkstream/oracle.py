@@ -11,7 +11,9 @@ durations and path lengths are exact once the step divides the event-time
 lattice.
 """
 
+from bisect import bisect_right, insort
 from fractions import Fraction
+from operator import add
 
 
 class GridError(ValueError):
@@ -103,6 +105,52 @@ def _has_edges(graph):
     return any(graph.adjacency[v] for v in graph.nodes)
 
 
+class _GridTable:
+    """The snapshot at each grid index of [k_lo, k_hi], resolved once and
+    shared by every scan of one entry-point call."""
+
+    __slots__ = ("k_lo", "k_hi", "graphs", "live", "changes", "maxlen",
+                 "_walks")
+
+    def __init__(self, stream, grid, k_lo, k_hi):
+        self.k_lo, self.k_hi = k_lo, k_hi
+        self.graphs = {k: stream.graph_at(grid.time(k))
+                       for k in range(k_lo, k_hi + 1)}
+        self.live = {k: _has_edges(g) for k, g in self.graphs.items()}
+        # a node set closed under the snapshot at k - 1 can only grow at k
+        # when the snapshot changes there and has edges
+        self.changes = [k for k in range(k_lo + 1, k_hi + 1)
+                        if self.live[k]
+                        and self.graphs[k] is not self.graphs[k - 1]]
+        self.maxlen = len(stream.nodes) - 1
+        self._walks = {}
+
+    def walks(self, k):
+        """_walk_counts of the snapshot at k, built once per snapshot."""
+        g = self.graphs[k]
+        got = self._walks.get(g)
+        if got is None:
+            got = self._walks[g] = _walk_counts(g, self.maxlen)
+        return got
+
+
+def _reach_scan(table, u, ks):
+    """arrival[y] = earliest grid index a with a path u -> y whose first
+    crossing is exactly at ks and last crossing at a (arrival[u] = ks); empty
+    when u has no link at ks."""
+    g = table.graphs[ks]
+    if not g.neighbors(u):
+        return {}
+    arrival = dict.fromkeys(_reach_set(g, [u]), ks)
+    n = len(g.nodes)
+    for ka in table.changes[bisect_right(table.changes, ks):]:
+        if len(arrival) == n:
+            break
+        for y in _reach_set(table.graphs[ka], arrival):
+            arrival.setdefault(y, ka)
+    return arrival
+
+
 # -- shortest paths -----------------------------------------------------------
 
 
@@ -121,11 +169,12 @@ def grid_count_shortest(stream, src, dst, grid):
     k0, k1 = grid.index(src.time), grid.index(dst.time)
     if k0 > k1:
         return (None, 0)
+    table = _GridTable(stream, grid, k0, k1)
     avail = {src.node: (0, 1)}
     for k in range(k0, k1 + 1):
-        g = stream.graph_at(grid.time(k))
-        if not _has_edges(g):
+        if not table.live[k]:
             continue
+        g = table.graphs[k]
         cand = {}
         for x, (lx, cx) in avail.items():
             dist, count = _static_dist_counts(g, x)
@@ -162,54 +211,18 @@ def grid_fastest(stream, src, dst_node, grid, arrive_by=None):
         return Fraction(0)
     limit = stream.omega if arrive_by is None else arrive_by
     k0, k1 = grid.index(src.time), grid.index(limit)
+    table = _GridTable(stream, grid, k0, k1)
     best = None
     for ks in range(k0, k1 + 1):
-        cur = {src.node}
-        for ka in range(ks, k1 + 1):
-            if best is not None and (ka - ks) >= best:
+        ka = _reach_scan(table, src.node, ks).get(dst_node)
+        if ka is not None and (best is None or ka - ks < best):
+            best = ka - ks
+            if best == 0:
                 break
-            cur = _reach_set(stream.graph_at(grid.time(ka)), cur)
-            if dst_node in cur:
-                if best is None or ka - ks < best:
-                    best = ka - ks
-                break
-        if best == 0:
-            break
     return None if best is None else best * grid.step
 
 
 # -- contribution -------------------------------------------------------------
-
-
-def _exact_start_arrivals(stream, grid, u, w, k_lo, k_hi):
-    """arrival[s] = earliest grid index a with a path u -> w whose first
-    crossing is exactly at grid index s and last crossing at a; None when w
-    is never reached by k_hi."""
-    arrivals = {}
-    for ks in range(k_lo, k_hi + 1):
-        g = stream.graph_at(grid.time(ks))
-        if not g.neighbors(u):
-            arrivals[ks] = None
-            continue
-        cur = _reach_set(g, [u])
-        arrival = None
-        if w in cur:
-            arrival = ks
-        else:
-            prev_g = g
-            for ka in range(ks + 1, k_hi + 1):
-                g2 = stream.graph_at(grid.time(ka))
-                if g2 is prev_g and not _has_edges(g2):
-                    continue
-                prev_g = g2
-                grown = _reach_set(g2, cur)
-                if len(grown) > len(cur):
-                    cur = grown
-                    if w in cur:
-                        arrival = ka
-                        break
-        arrivals[ks] = arrival
-    return arrivals
 
 
 class _PairTables:
@@ -218,19 +231,9 @@ class _PairTables:
 
     __slots__ = ("length", "count", "through")
 
-    def __init__(self, stream, grid, u, w, ks, ka, tv_idx):
-        maxlen = len(stream.nodes) - 1
-        walk_cache = {}
-
-        def walks_at(k):
-            g = stream.graph_at(grid.time(k))
-            key = id(g)
-            got = walk_cache.get(key)
-            if got is None:
-                got = (g, _walk_counts(g, maxlen))
-                walk_cache[key] = got
-            return got[1]
-
+    def __init__(self, table, u, w, ks, ka, tv_idx):
+        maxlen = table.maxlen
+        walks_at = table.walks
         interior = [(kt, v) for kt, v in tv_idx
                     if v not in (u, w) and ks <= kt <= ka]
         snap_at = sorted({kt for kt, _ in interior})
@@ -341,80 +344,107 @@ class _PairTables:
                 self.through[(kt, v)] = total
 
 
-def _grid_contributions(stream, u, w, tvs, grid, window):
-    """Riemann-sum estimates of the contribution of (u, w) to the
-    betweenness of every temporal node in tvs, sharing one window scan."""
-    if window is None:
-        lo, hi = stream.alpha, stream.omega
-    else:
-        lo, hi = window
-    k_lo, k_hi = grid.index(lo), grid.index(hi)
-    tv_idx = [(grid.index(tv.time), tv.node) for tv in tvs]
-    arrivals = _exact_start_arrivals(stream, grid, u, w, k_lo, k_hi)
-    tables = {}
+def _grid_contributions(table, u, w, arrivals, tv_idx):
+    """Riemann sums, in units of one grid cell, of the contribution of
+    (u, w) to the betweenness of every temporal node in tv_idx (as (grid
+    index, node)).  arrivals[ks] is the earliest arrival index at w from the
+    first crossing ks (see _reach_scan), for each ks from which w is
+    reached."""
+    k_lo = table.k_lo
+    pairs = {}
 
     def pair(ks):
-        tab = tables.get(ks)
-        if tab is None:
-            tab = _PairTables(stream, grid, u, w, ks, arrivals[ks], tv_idx)
-            tables[ks] = tab
-        return tab
+        got = pairs.get(ks)
+        if got is None:
+            tab = _PairTables(table, u, w, ks, arrivals[ks], tv_idx)
+            got = (tab.length, tab.count,
+                   tuple(tab.through[t] for t in tv_idx))
+            pairs[ks] = got
+        return got
 
-    totals = [Fraction(0)] * len(tvs)
-    for kj in range(k_lo, k_hi + 1):
-        dur = None
-        length = None
+    sums = [{} for _ in tv_idx]  # per query: count -> sum of through * cells
+
+    def add_cells(count, through, cells):
+        for n, thr in enumerate(through):
+            if thr:
+                sums[n][count] = sums[n].get(count, 0) + thr * cells
+
+    # Cell (ki, kj) aggregates the usable starts ks in [ki, kj], those with
+    # arrivals[ks] <= kj: the fastest ones, then the shortest among those.
+    # Walking ki down from kj, the aggregate changes only at usable starts,
+    # so each aggregate is added once for the run of cells it covers.  The
+    # usable starts, and so the whole column kj, change only where kj is an
+    # arrival index: each distinct column is walked once, and its sums are
+    # counted for every kj up to the next arrival index.
+    by_arrival = {}
+    for ks, ka in arrivals.items():
+        by_arrival.setdefault(ka, []).append(ks)
+    columns = sorted(by_arrival) + [table.k_hi + 1]
+    usable = []
+    for kj, next_kj in zip(columns, columns[1:]):
+        for ks in by_arrival[kj]:
+            insort(usable, ks)
+        width = next_kj - kj
+        dur = length = through = top = None
         count = 0
-        through = None
-        for ki in range(kj, k_lo - 1, -1):
-            ka = arrivals.get(ki)
-            if ka is not None and ka <= kj:
-                g = ka - ki
-                if dur is None or g < dur:
-                    dur = g
-                    tab = pair(ki)
-                    length = tab.length
-                    count = tab.count
-                    through = [tab.through[t] for t in tv_idx]
-                elif g == dur:
-                    tab = pair(ki)
-                    if tab.length is not None and (
-                        length is None or tab.length < length
-                    ):
-                        length = tab.length
-                        count = tab.count
-                        through = [tab.through[t] for t in tv_idx]
-                    elif tab.length is not None and tab.length == length:
-                        count += tab.count
-                        through = [a + b for a, b in
-                                   zip(through, [tab.through[t]
-                                                 for t in tv_idx])]
+        for ki in reversed(usable):
+            g = arrivals[ki] - ki
+            if dur is not None and g > dur:
+                continue
+            tab_length, tab_count, tab_through = pair(ki)
+            if dur is None or g < dur:
+                dur = g
+            elif tab_length is None or (
+                length is not None and tab_length > length
+            ):
+                continue
+            elif length is not None and tab_length == length:
+                tab_count += count
+                tab_through = tuple(map(add, through, tab_through))
             if count:
-                for n, thr in enumerate(through):
-                    if thr:
-                        totals[n] += Fraction(thr, count)
-    cell = grid.step * grid.step
-    return [t * cell for t in totals]
+                add_cells(count, through, (top - ki) * width)
+            length, count, through, top = (tab_length, tab_count,
+                                           tab_through, ki)
+        if count:
+            add_cells(count, through, (top - k_lo + 1) * width)
+    return [sum((Fraction(v, c) for c, v in acc.items()), Fraction(0))
+            for acc in sums]
 
 
 def grid_contribution(stream, u, w, tv, grid, window=None):
     """Riemann-sum estimate of C_tv(u, w); converges as the step shrinks."""
     grid.check_stream(stream)
     stream.check_temporal_node(tv)
-    return _grid_contributions(stream, u, w, [tv], grid, window)[0]
+    lo, hi = (stream.alpha, stream.omega) if window is None else window
+    table = _GridTable(stream, grid, grid.index(lo), grid.index(hi))
+    scans = {ks: _reach_scan(table, u, ks)
+             for ks in range(table.k_lo, table.k_hi + 1)}
+    arrivals = {ks: scan[w] for ks, scan in scans.items() if w in scan}
+    cells = _grid_contributions(table, u, w, arrivals,
+                                [(grid.index(tv.time), tv.node)])
+    return cells[0] * grid.step * grid.step
 
 
 def grid_betweenness(stream, tvs, grid):
     """Riemann-sum betweenness estimates for several temporal nodes at once
-    (one window scan per ordered node pair, shared across the queries)."""
+    (one grid table, and one reach scan per source and first crossing,
+    shared across node pairs and queries)."""
     grid.check_stream(stream)
     for tv in tvs:
         stream.check_temporal_node(tv)
+    table = _GridTable(stream, grid, grid.index(stream.alpha),
+                       grid.index(stream.omega))
+    tv_idx = [(grid.index(tv.time), tv.node) for tv in tvs]
     totals = [Fraction(0)] * len(tvs)
     for u in stream.nodes:
+        scans = {ks: _reach_scan(table, u, ks)
+                 for ks in range(table.k_lo, table.k_hi + 1)}
         for w in stream.nodes:
             if u == w:
                 continue
-            part = _grid_contributions(stream, u, w, tvs, grid, None)
+            arrivals = {ks: scan[w] for ks, scan in scans.items()
+                        if w in scan}
+            part = _grid_contributions(table, u, w, arrivals, tv_idx)
             totals = [a + b for a, b in zip(totals, part)]
-    return totals
+    cell = grid.step * grid.step
+    return [t * cell for t in totals]

@@ -2,6 +2,14 @@ import pytest
 
 from linkstream.cli import run
 
+# (stream, --at, exact betweenness) where `betweenness --verify` rejects the
+# correct exact value
+FALSE_REJECTS = [
+    pytest.param("0 10\na b 1 5\n", ("5", "a"), "0", id="one_link"),
+    pytest.param("0 10\na b 2 4\na c 8 9\nb c 5 6\n", ("6", "c"), "4",
+                 id="three_links"),
+]
+
 
 def invoke(capsys, *argv):
     code = run(list(argv))
@@ -109,6 +117,33 @@ class TestBetweenness:
             capsys, "betweenness", "--stream", demo_path, "--at", "40", "c",
         )
         assert code == 1 and err.startswith("error:")
+
+    @pytest.mark.parametrize("text,at,exact", FALSE_REJECTS)
+    def test_false_reject_exact_values(self, capsys, tmp_path, text, at,
+                                       exact):
+        path = tmp_path / "s.ls"
+        path.write_text(text)
+        code, out, _ = invoke(
+            capsys, "betweenness", "--stream", str(path), "--at", *at,
+        )
+        assert code == 0 and out.strip() == exact
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP item 5: the Richardson estimate at steps 1/8 and "
+        "1/16 (0.79 and 4.77) falls outside the verify tolerance of these "
+        "correct exact values (0 and 4)",
+    )
+    @pytest.mark.parametrize("text,at,exact", FALSE_REJECTS)
+    def test_verify_accepts_correct_value(self, capsys, tmp_path, text, at,
+                                          exact):
+        path = tmp_path / "s.ls"
+        path.write_text(text)
+        code, _, err = invoke(
+            capsys, "betweenness", "--stream", str(path), "--at", *at,
+            "--verify",
+        )
+        assert code == 0, err
 
 
 class TestProfile:

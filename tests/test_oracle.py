@@ -1,10 +1,15 @@
+import ast
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import linkstream.oracle
 from linkstream import (
     GridError,
     GridSpec,
+    LinkStream,
     Q,
     TemporalNode,
     betweenness,
@@ -14,6 +19,8 @@ from linkstream import (
     grid_fastest,
     parse_stream,
 )
+
+from conftest import random_stream, seeded
 
 
 def tn(t, v):
@@ -152,3 +159,189 @@ class TestBetweenness:
     def test_checks_inputs(self, demo):
         with pytest.raises(GridError):
             grid_betweenness(demo, [tn(Q(1, 3), "a")], GridSpec(Fraction(1, 2)))
+
+
+# -- independence -------------------------------------------------------
+#
+# The oracle checks the exact pipeline only while it shares no code with it:
+# of a stream it may read the definition and the instantaneous graphs, never
+# the slot tables, BFS or component caches the pipeline builds.
+
+ORACLE_STREAM_API = {
+    "graph_at", "nodes", "alpha", "omega", "event_times",
+    "check_temporal_node",
+}
+
+
+def oracle_tree():
+    source = Path(linkstream.oracle.__file__).read_text(encoding="utf-8")
+    return ast.parse(source)
+
+
+class TestIndependence:
+    def test_imports_only_the_standard_library(self):
+        for node in ast.walk(oracle_tree()):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                assert node.level == 0, "relative import in the oracle"
+                modules = [node.module]
+            else:
+                continue
+            for name in modules:
+                assert name.split(".")[0] in sys.stdlib_module_names, name
+
+    def test_reads_only_the_stream_definition(self, demo):
+        stream_attrs = {a for a in set(dir(LinkStream)) | set(vars(demo))
+                        if not a.startswith("__")}
+        assert {"slot", "snapshot", "bfs", "components"} <= stream_attrs
+        used = set()
+        for node in ast.walk(oracle_tree()):
+            if isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif (isinstance(node, ast.Call)
+                  and isinstance(node.func, ast.Name)
+                  and node.func.id in ("getattr", "hasattr")
+                  and len(node.args) > 1
+                  and isinstance(node.args[1], ast.Constant)):
+                used.add(node.args[1].value)
+        assert used & stream_attrs <= ORACLE_STREAM_API, sorted(
+            used & stream_attrs - ORACLE_STREAM_API
+        )
+
+
+# -- pinned outputs -------------------------------------------------------
+#
+# The grid oracle's estimates, recorded as exact rationals from an earlier
+# implementation of the oracle.  Any rework of the oracle's scans must
+# reproduce them exactly: the tolerance-based tests above would let a
+# changed estimate through.
+
+DEMO_TARGETS = [tn(Q(9, 2), "c"), tn(Q(10), "c"), tn(Q(16), "d")]
+
+
+def pinned_cases():
+    """Ten seeded random streams on [0, 10], each with three query temporal
+    nodes and two pairs of temporal nodes on distinct nodes, on the half lattice."""
+    rng = seeded(4242)
+    cases = []
+    for _ in range(10):
+        stream = random_stream(rng, horizon=10)
+        tvs = [tn(Q(rng.randint(0, 20), 2), rng.choice(stream.nodes))
+               for _ in range(3)]
+        pairs = []
+        for _ in range(2):
+            t1, t2 = sorted(Q(rng.randint(0, 20), 2) for _ in range(2))
+            u, w = rng.sample(stream.nodes, 2)
+            pairs.append((tn(t1, u), tn(t2, w)))
+        cases.append((stream, tvs, pairs))
+    return cases
+
+
+def oracle_outputs(stream, tvs, pairs):
+    """Every entry point on one case, at steps 1/8 and 1/16, as strings."""
+    out = []
+    for denom in (8, 16):
+        grid = GridSpec(Fraction(1, denom))
+        out += [str(x) for x in grid_betweenness(stream, tvs, grid)]
+        for src, dst in pairs:
+            out.append("%s %s" % grid_count_shortest(stream, src, dst, grid))
+            out.append(str(grid_fastest(stream, src, dst.node, grid)))
+            out.append(str(grid_fastest(stream, src, dst.node, grid,
+                                        arrive_by=dst.time)))
+    return out
+PINNED_RANDOM = [
+    (
+        "0", "0", "160164473969/65898201600", "None 0", "0", "None", "None 0",
+        "None", "None", "0", "0",
+        "159690543637684242624113/132225898847829192806400", "None 0", "0",
+        "None", "None 0", "None", "None",
+    ),
+    (
+        "151808383719394513/85486903313011200", "0",
+        "41157663646749877/15543073329638400", "1 5", "0", "0", "None 0", "0",
+        "None",
+        "1226192854539244658727398399553823/1397822890442299600231553823272960",
+        "0",
+        "1828448243187012321762976467894629839/1383844661537876604229238285040230400",
+        "1 9", "0", "0", "None 0", "0", "None",
+    ),
+    (
+        "9/32", "0", "0", "None 0", "None", "None", "None 0", "None", "None",
+        "17/128", "0", "0", "None 0", "None", "None", "None 0", "None",
+        "None",
+    ),
+    (
+        "0", "2953/64", "777945299688923/288807105787200", "None 0", "0",
+        "None", "None 0", "None", "None", "0", "11537/256",
+        "83586275056169783316298181/62224572847516961447966400", "None 0",
+        "0", "None", "None 0", "None", "None",
+    ),
+    (
+        "2128751325722942251313/1209383221169169446400",
+        "2128751325722942251313/1209383221169169446400",
+        "732054974111/50392742400", "1 25", "0", "0", "1 25", "0", "0",
+        "9621743680166964235222238279287079941157/11017540777040984045753490794716018339840",
+        "9621743680166964235222238279287079941157/11017540777040984045753490794716018339840",
+        "139616327426955471028361/12020536258893562982400", "1 49", "0", "0",
+        "1 49", "0", "0",
+    ),
+    (
+        "160164473969/65898201600", "0", "0", "1 21", "0", "0", "None 0",
+        "None", "None", "159690543637684242624113/132225898847829192806400",
+        "0", "0", "1 41", "0", "0", "None 0", "None", "None",
+    ),
+    (
+        "0", "0", "0", "None 0", "None", "None", "1 42", "0", "0", "0", "0",
+        "0", "None 0", "None", "None", "1 82", "0", "0",
+    ),
+    (
+        "0", "0", "3298847273695851337741727/181240671696593462553600", "1 9",
+        "0", "0", "None 0", "None", "None", "0", "0",
+        "383767873177937910715401366938563755573883240976646757/40784556899252414272576470965601295095322732141977600",
+        "1 17", "0", "0", "None 0", "None", "None",
+    ),
+    (
+        "0", "987071/26880", "57951919063/392071680", "2 17", "0", "0", "1 1",
+        "0", "0", "0", "50894277319/1568286720",
+        "96718348725498317/684579806310400", "2 33", "0", "0", "1 1", "0",
+        "0",
+    ),
+    (
+        "0", "16688421165363239/7302006324653040", "67073/13440", "None 0",
+        "None", "None", "1 2", "0", "0", "0",
+        "353574662479669298760237713022229319/311365048846022235951578614134051840",
+        "44480829/17425408", "None 0", "None", "None", "1 2", "0", "0",
+    ),
+]
+
+PINNED_DEMO = {
+    8: [
+        "45744028901861527727615942500573/844926733172150313848119756800",
+        "1436129/6080", "3662202684594320491/4620913692595200",
+    ],
+    16: [
+        "47263521574738407588546319027100488796686582712753908420793/995181253928198210504186962933572828201296965480919285760",
+        "107030299/456960",
+        "7872118389195983794412664307383461/10139120798065803766177437081600",
+    ],
+}
+
+PINNED_WINDOWED = "7397/640"
+
+
+class TestPinnedOutputs:
+    @pytest.mark.parametrize("n", range(len(PINNED_RANDOM)))
+    def test_random_streams(self, n):
+        stream, tvs, pairs = pinned_cases()[n]
+        assert tuple(oracle_outputs(stream, tvs, pairs)) == PINNED_RANDOM[n]
+
+    @pytest.mark.parametrize("denom", sorted(PINNED_DEMO))
+    def test_demo_betweenness(self, demo, denom):
+        got = grid_betweenness(demo, DEMO_TARGETS, GridSpec(Fraction(1, denom)))
+        assert [str(x) for x in got] == PINNED_DEMO[denom]
+
+    def test_windowed_contribution(self, demo):
+        got = grid_contribution(demo, "a", "e", tn(Q(9, 2), "c"),
+                                GridSpec(Fraction(1, 8)), window=(Q(0), Q(16)))
+        assert str(got) == PINNED_WINDOWED
