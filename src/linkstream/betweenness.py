@@ -6,7 +6,7 @@ from typing import NamedTuple
 
 from .contribution import contribution
 from .latencies import cached_latency_lists
-from .numbers import Q
+from .numbers import Q, on_lattice
 from .stream import TemporalNode
 
 
@@ -16,14 +16,20 @@ class BetweennessProfile(NamedTuple):
 
 def betweenness(stream, tv):
     """Betweenness of the temporal node tv: the total contribution of every
-    ordered node pair (u, w), including u == w and pairs touching tv.node."""
+    ordered node pair (u, w), including u == w and pairs touching tv.node.
+
+    The sum runs on the stream's integer-time twin (`LinkStream.lattice`),
+    with times in ticks of 1/L; betweenness scales with the square of time,
+    so the twin's total is divided by L**2."""
     stream.check_temporal_node(tv)
+    twin, scale = stream.lattice()
+    tv = TemporalNode(on_lattice(tv.time, scale), tv.node)
     total = Q(0)
-    for u in stream.nodes:
-        lists = cached_latency_lists(stream, u)
-        for w in stream.nodes:
-            total += contribution(stream, u, w, tv, lists[w]).value
-    return total
+    for u in twin.nodes:
+        lists = cached_latency_lists(twin, u)
+        for w in twin.nodes:
+            total += contribution(twin, u, w, tv, lists[w]).value
+    return total / (scale * scale)
 
 
 def profile(stream, samples_per_node, threads=1):
@@ -53,6 +59,10 @@ def profile(stream, samples_per_node, threads=1):
     interpolated exactly in Newton form, and checked at one more sample;
     should the check fail, every sample of that gap is evaluated directly.
 
+    The evaluations run on an integer-time twin of the stream whose lattice
+    also holds every sample time (`LinkStream.lattice(times)`), and each
+    value is scaled back by 1/L**2, as in `betweenness`.
+
     `threads` is accepted for compatibility and ignored: the samples share
     the stream's tables, and evaluating them serially is the fastest way."""
     if samples_per_node < 1:
@@ -62,18 +72,22 @@ def profile(stream, samples_per_node, threads=1):
         stream.alpha + Q(i) * span / samples_per_node
         for i in range(samples_per_node + 1)
     ]
-    by_slot = {}  # slot -> the distinct sample times in it, ascending
-    for t in dict.fromkeys(times):
-        by_slot.setdefault(stream.slot(t), []).append(t)
+    twin, scale = stream.lattice(times)
+    ticks = {t: on_lattice(t, scale) for t in times}
+    by_slot = {}  # slot -> the distinct sample ticks in it, ascending
+    for tick in ticks.values():
+        by_slot.setdefault(twin.slot(tick), []).append(tick)
+    norm = scale * scale
     samples = []
-    for v in stream.nodes:
+    for v in twin.nodes:
         values = {}
         for k, ts in by_slot.items():
             if k & 1:
-                values.update(zip(ts, _direct(stream, v, ts)))
+                values.update(zip(ts, _direct(twin, v, ts)))
             else:
-                values.update(zip(ts, _gap_values(stream, k, v, ts)))
-        samples.extend((TemporalNode(t, v), values[t]) for t in times)
+                values.update(zip(ts, _gap_values(twin, k, v, ts)))
+        samples.extend((TemporalNode(t, v), values[ticks[t]] / norm)
+                       for t in times)
     return BetweennessProfile(samples)
 
 

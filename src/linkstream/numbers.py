@@ -34,6 +34,22 @@ def as_q(value):
     raise TypeError("cannot convert %r to an exact rational" % (value,))
 
 
+def exact_div(num, den):
+    """num / den without a float: an int when both are ints and den divides
+    num, an exact rational otherwise."""
+    if isinstance(num, int) and isinstance(den, int):
+        q, r = divmod(num, den)
+        return Q(num, den) if r else q
+    return num / den
+
+
+def on_lattice(t, scale):
+    """The time t in ticks of 1/scale: an int on the lattice, an exact
+    rational off it."""
+    t = as_q(t)
+    return exact_div(t.numerator * scale, t.denominator)
+
+
 def format_decimal(value, digits):
     """Render an exact rational as a decimal string with `digits` places,
     rounding half away from zero."""

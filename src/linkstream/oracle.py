@@ -171,13 +171,17 @@ def grid_count_shortest(stream, src, dst, grid):
         return (None, 0)
     table = _GridTable(stream, grid, k0, k1)
     avail = {src.node: (0, 1)}
+    bfs = {}  # (snapshot, node) -> _static_dist_counts, for this call
     for k in range(k0, k1 + 1):
         if not table.live[k]:
             continue
         g = table.graphs[k]
         cand = {}
         for x, (lx, cx) in avail.items():
-            dist, count = _static_dist_counts(g, x)
+            got = bfs.get((g, x))
+            if got is None:
+                got = bfs[(g, x)] = _static_dist_counts(g, x)
+            dist, count = got
             for y, dy in dist.items():
                 if dy == 0:
                     continue
@@ -415,6 +419,9 @@ def grid_contribution(stream, u, w, tv, grid, window=None):
     """Riemann-sum estimate of C_tv(u, w); converges as the step shrinks."""
     grid.check_stream(stream)
     stream.check_temporal_node(tv)
+    for node in (u, w):
+        if node not in stream.nodes:
+            raise GridError("unknown node %r" % node)
     lo, hi = (stream.alpha, stream.omega) if window is None else window
     table = _GridTable(stream, grid, grid.index(lo), grid.index(hi))
     scans = {ks: _reach_scan(table, u, ks)

@@ -16,7 +16,7 @@ from bisect import bisect_right
 from math import factorial
 from typing import NamedTuple
 
-from .numbers import Q
+from .numbers import exact_div
 from .static_graph import bfs_counts
 from .stream import StreamError
 from .volumes import V_UNIT, V_ZERO, Volume, vol_add, vol_mul
@@ -40,7 +40,7 @@ def segment_volume(g_plus, x, w, t, t2):
 def _gap_volume(sigma, span, d):
     if d == 0:
         return V_UNIT
-    return Volume(sigma * span**d / factorial(d), d)
+    return Volume(exact_div(sigma * span**d, factorial(d)), d)
 
 
 def _advance(stream, gap, nxt, span, dist_t, vol_t):
@@ -107,7 +107,7 @@ class SweepTables:
             steps.append((2 * len(events), 2 * len(events)))
         init = stream.bfs(stream.slot(i), u)
         dist = dict(init.dist)
-        vol = {w: Volume(Q(init.count[w]), 0) for w in dist}
+        vol = {w: Volume(init.count[w], 0) for w in dist}
         states = [(dist, vol)]
         for (gap, nxt), t, t2 in zip(steps, times, times[1:]):
             dist, vol = _advance(stream, gap, nxt, t2 - t, dist, vol)

@@ -6,9 +6,10 @@ bounds; the instantaneous graph only changes there.
 """
 
 from bisect import bisect_left, bisect_right
+from math import lcm
 from typing import NamedTuple
 
-from .numbers import parse_time
+from .numbers import Q, as_q, on_lattice, parse_time
 from .static_graph import bfs_counts, connected_components
 
 
@@ -130,6 +131,7 @@ class LinkStream:
         self._bfs = {}  # (slot, node) -> BfsResult
         self._sweeps = {}  # (time, node) -> shortest_volumes.SweepTables
         self._latency_lists = {}  # node -> latencies.latency_lists result
+        self._lattice = None  # (twin, L) of lattice(); twin None for self
 
     # -- basic queries ----------------------------------------------------
 
@@ -203,12 +205,40 @@ class LinkStream:
             raise StreamError(
                 "event time strictly inside ]%s, %s[" % (t, t2)
             )
-        return self.graph_at((t + t2) / 2)
+        return self.graph_at((t + t2) / Q(2))
 
     def check_temporal_node(self, tn):
         self._check_time(tn.time)
         if tn.node not in self.nodes:
             raise StreamError("unknown node %r" % tn.node)
+
+    # -- integer time lattice ----------------------------------------------
+
+    def lattice(self, times=()):
+        """(twin, L): L is the lcm of the denominators of alpha, omega, every
+        interval bound and `times`, and twin is this stream with every time
+        multiplied by L, so all its times are ints.  The twin of the stream's
+        own L is built once and kept; the stream is its own twin when its
+        times are ints already.  A twin for a larger L (from `times`) is
+        built anew on each call."""
+        if self._lattice is None:
+            bounds = [self.alpha, self.omega, *self._event_times]
+            scale = lcm(*(as_q(t).denominator for t in bounds))
+            own = scale == 1 and all(isinstance(t, int) for t in bounds)
+            self._lattice = (None if own else self._scaled(scale), scale)
+        twin, scale = self._lattice
+        wide = lcm(scale, *(as_q(t).denominator for t in times))
+        if wide != scale:
+            return self._scaled(wide), wide
+        return twin or self, scale
+
+    def _scaled(self, scale):
+        presence = {
+            pair: [(on_lattice(b, scale), on_lattice(e, scale)) for b, e in ivs]
+            for pair, ivs in self.presence.items()
+        }
+        return LinkStream(on_lattice(self.alpha, scale),
+                          on_lattice(self.omega, scale), self.nodes, presence)
 
     # -- serialization ----------------------------------------------------
 

@@ -1,14 +1,14 @@
 """Exact (size, dimension) volumes of uncountable path sets and their algebra.
 
 A volume measures a finite disjoint union of sliding sets of temporal paths.
-Sizes are exact rationals, dimensions non-negative integers.  In a sum,
-lower-dimensional volumes are negligible; the canonical zero volume is
-(0, 0).
+Sizes are exact rationals (often ints on integer times), dimensions
+non-negative integers.  In a sum, lower-dimensional volumes are negligible;
+the canonical zero volume is (0, 0).
 """
 
 from typing import NamedTuple
 
-from .numbers import Q, as_q
+from .numbers import Q, as_q, exact_div
 
 
 class VolumeError(ArithmeticError):
@@ -30,8 +30,8 @@ class Volume(NamedTuple):
         return "Volume(%s, %d)" % (self.size, self.dim)
 
 
-V_ZERO = Volume(Q(0), 0)
-V_UNIT = Volume(Q(1), 0)
+V_ZERO = Volume(0, 0)
+V_UNIT = Volume(1, 0)
 
 
 def volume(size, dim):
@@ -81,7 +81,7 @@ def vol_div(num, den):
     _check_subset(num, den, "vol_div")
     if num.dim < den.dim:
         return Q(0)
-    return num.size / den.size
+    return exact_div(num.size, den.size)
 
 
 def vol_sub(a, b):

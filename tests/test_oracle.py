@@ -98,6 +98,23 @@ class TestCountShortest:
         rich = richardson(estimates[8], estimates[16])
         assert abs(rich - 2) <= Fraction(2) * Fraction(5, 100)
 
+    def test_one_bfs_per_snapshot_and_node(self, demo, monkeypatch):
+        # at step 1/8, (0,a) -> (32,e) meets 166 distinct (snapshot, node)
+        # pairs at its 768 (grid index, available node) states
+        calls = []
+        bfs = linkstream.oracle._static_dist_counts
+
+        def counted(graph, source):
+            calls.append((id(graph), source))
+            return bfs(graph, source)
+
+        monkeypatch.setattr(linkstream.oracle, "_static_dist_counts", counted)
+        got = grid_count_shortest(
+            demo, tn(0, "a"), tn(32, "e"), GridSpec(Fraction(1, 8))
+        )
+        assert got == (3, 5742)
+        assert len(calls) == len(set(calls)) == 166
+
 
 class TestFastest:
     def test_demo_duration(self, demo):
@@ -132,6 +149,12 @@ class TestContribution:
             )
         rich = richardson(est[8], est[16])
         assert abs(rich - exact) <= exact * Fraction(3, 100)
+
+    @pytest.mark.parametrize("u,w", [("z", "e"), ("a", "zz")])
+    def test_unknown_node(self, demo, u, w):
+        with pytest.raises(GridError, match="unknown node"):
+            grid_contribution(demo, u, w, tn(Q(9, 2), "c"),
+                              GridSpec(Fraction(1, 8)))
 
     def test_windowed_scan_restricts_support(self, demo):
         # nothing starts before time 20 that involves (4.5,c)
