@@ -161,8 +161,9 @@ def _cmd_betweenness(args):
     print(_fmt(value, args))
     if args.verify:
         g1, g2 = _verify_steps(stream, tv.time)
-        e1 = grid_betweenness(stream, [tv], g1)[0]
+        # finer grid first, so one too large for the oracle fails at once
         e2 = grid_betweenness(stream, [tv], g2)[0]
+        e1 = grid_betweenness(stream, [tv], g1)[0]
         estimate = 2 * e2 - e1
         exact = Fraction(value)
         gap = abs(estimate - exact)

@@ -5,6 +5,9 @@ through the queried temporal node.  Around that anchor, boundary scans
 (backward over starts, forward over arrivals) produce the cell grid on which
 the double time integral collapses to a finite sum of
 cell_area * (volume through the node / total volume) terms.
+
+The backward scan and cell lookup mirror the forward ones under time
+reversal, so each is written once, with a direction.
 """
 
 from bisect import bisect_left, bisect_right
@@ -27,100 +30,77 @@ class ContributionResult(NamedTuple):
     anchor: Optional[LatencyPair]
 
 
-def _dist(stream, i, u, j, v):
-    return vsp(stream, TemporalNode(i, u), TemporalNode(j, v)).distance
+def _vsp(stream, i, u, j, v):
+    return vsp(stream, TemporalNode(i, u), TemporalNode(j, v))
 
 
-def _vol(stream, i, u, j, v):
-    return vsp(stream, TemporalNode(i, u), TemporalNode(j, v)).volume
-
-
-def _dist_gap_before(stream, s, u, w):
-    """Distance from u to w in the constant graph on the open gap ending at
-    s; None when s == alpha (no gap) or w unreachable there."""
-    if s <= stream.alpha:
+def _gap_dist(stream, t, u, w, forward):
+    """Distance from u to w in the constant graph on the open gap after t
+    (forward) or before t; None when t is the window end on that side (no
+    gap) or w is unreachable there."""
+    end, step = (stream.omega, 1) if forward else (stream.alpha, -1)
+    if t == end:
         return None
-    k = stream.slot(s)
-    return stream.bfs(k - (k & 1), u).dist.get(w)
+    k = stream.slot(t)
+    return stream.bfs(k + step * (k & 1), u).dist.get(w)
 
 
-def _dist_gap_after(stream, a, u, w):
-    """Distance from u to w in the constant graph on the open gap starting
-    at a; None when a == omega."""
-    if a >= stream.omega:
-        return None
-    k = stream.slot(a)
-    return stream.bfs(k + (k & 1), u).dist.get(w)
+def _scan(stream, u, w, s, a, ll, forward):
+    """Boundaries of the equal-latency, equal-distance pairs beyond the
+    anchor (s, a), up to the support bound, each with the volume of shortest
+    fastest paths accumulated so far.  The direction picks the pair order,
+    the boundary coordinate, the gap side and the window end."""
+    d_anchor = _vsp(stream, s, u, a, w).distance
+    if d_anchor is None:
+        raise StreamError("(%s,%s) is not a latency pair from %r to %r"
+                          % (s, a, u, w))
+    if forward:
+        pairs = ll[bisect_right(ll, a, key=itemgetter(1)):]
+        side, end = 1, stream.omega
+    else:
+        pairs = ll[:bisect_left(ll, s, key=itemgetter(0))][::-1]
+        side, end = 0, stream.alpha
+    result = []
+    vol = V_ZERO
+    if s == a and _gap_dist(stream, s, u, w, forward) == d_anchor:
+        return BoundaryList(result)
+    for pair in pairs:
+        s2, a2 = pair
+        lat = a2 - s2
+        if lat < a - s:
+            result.append((pair[side], vol))
+            return BoundaryList(result)
+        if lat == a - s:
+            r = _vsp(stream, s2, u, a2, w)
+            if r.distance < d_anchor:
+                result.append((pair[side], vol))
+                return BoundaryList(result)
+            if r.distance == d_anchor:
+                result.append((pair[side], vol))
+                if s2 == a2 and _gap_dist(stream, s2, u, w, forward) == d_anchor:
+                    return BoundaryList(result)
+                vol = vol_add(vol, r.volume)
+    result.append((end, vol))
+    return BoundaryList(result)
 
 
 def prev_list(stream, u, w, s, a, ll):
-    """Backward scan from the anchor (s, a): boundaries of the earlier
-    equal-latency, equal-distance pairs down to the lower support bound,
-    each with the volume of shortest fastest paths accumulated so far."""
-    result = []
-    vol = V_ZERO
-    d_anchor = _dist(stream, s, u, a, w)
-    if d_anchor is None:
-        raise StreamError("(%s,%s) is not a latency pair from %r to %r"
-                          % (s, a, u, w))
-    if s == a and _dist_gap_before(stream, s, u, w) == d_anchor:
-        return BoundaryList(result)
-    for s2, a2 in reversed(list(ll)):
-        if not s2 < s:
-            continue
-        lat = a2 - s2
-        if lat < a - s:
-            result.append((s2, vol))
-            return BoundaryList(result)
-        if lat == a - s:
-            d2 = _dist(stream, s2, u, a2, w)
-            if d2 < d_anchor:
-                result.append((s2, vol))
-                return BoundaryList(result)
-            if d2 == d_anchor:
-                result.append((s2, vol))
-                if s2 == a2 and _dist_gap_before(stream, s2, u, w) == d_anchor:
-                    return BoundaryList(result)
-                vol = vol_add(vol, _vol(stream, s2, u, a2, w))
-    result.append((stream.alpha, vol))
-    return BoundaryList(result)
+    """Backward scan from the anchor (s, a): start boundaries down to the
+    lower support bound alpha."""
+    return _scan(stream, u, w, s, a, ll, False)
 
 
 def next_list(stream, u, w, s, a, ll):
-    """Forward dual of prev_list: arrival boundaries up to the upper support
-    bound."""
-    result = []
-    vol = V_ZERO
-    d_anchor = _dist(stream, s, u, a, w)
-    if d_anchor is None:
-        raise StreamError("(%s,%s) is not a latency pair from %r to %r"
-                          % (s, a, u, w))
-    if s == a and _dist_gap_after(stream, a, u, w) == d_anchor:
-        return BoundaryList(result)
-    for s2, a2 in ll:
-        if not a2 > a:
-            continue
-        lat = a2 - s2
-        if lat < a - s:
-            result.append((a2, vol))
-            return BoundaryList(result)
-        if lat == a - s:
-            d2 = _dist(stream, s2, u, a2, w)
-            if d2 < d_anchor:
-                result.append((a2, vol))
-                return BoundaryList(result)
-            if d2 == d_anchor:
-                result.append((a2, vol))
-                if s2 == a2 and _dist_gap_after(stream, a2, u, w) == d_anchor:
-                    return BoundaryList(result)
-                vol = vol_add(vol, _vol(stream, s2, u, a2, w))
-    result.append((stream.omega, vol))
-    return BoundaryList(result)
+    """Forward scan from the anchor (s, a): arrival boundaries up to the
+    upper support bound omega."""
+    return _scan(stream, u, w, s, a, ll, True)
 
 
-def _anchor_volume(stream, u, w, tv, ll):
-    """Anchor latency pair whose shortest fastest paths involve tv, with the
-    volume of those paths; (None, (0,0)) when no pair qualifies.
+def _anchored(stream, u, w, tv, ll):
+    """(anchor, vol_tv, middle, prev entries, next entries): the anchor
+    latency pair, the volume of its shortest fastest paths through tv, the
+    volume of all of them, and its boundary lists; None when no shortest
+    fastest path from u to w involves tv.
 
     The anchor is the first pair (x, y) with x <= t <= y such that (x,u)
     reaches tv and tv reaches (y,w); only its volumes need sweeps."""
@@ -130,16 +110,33 @@ def _anchor_volume(stream, u, w, tv, ll):
     for k in range(lo, hi):
         x, y = ll[k]
         if reaches(stream, (x, u), tv) and reaches(stream, tv, (y, w)):
-            vol_tv = V_ZERO
-            if (
-                _dist(stream, x, u, y, w)
-                == _dist(stream, x, u, t, v) + _dist(stream, t, v, y, w)
-            ):
-                vol_tv = vol_mul(
-                    _vol(stream, x, u, t, v), _vol(stream, t, v, y, w)
-                )
-            return LatencyPair(x, y), vol_tv
-    return None, V_ZERO
+            break
+    else:
+        return None
+    whole = _vsp(stream, x, u, y, w)
+    before = _vsp(stream, x, u, t, v)
+    after = _vsp(stream, t, v, y, w)
+    if whole.distance != before.distance + after.distance:
+        return None
+    vol_tv = vol_mul(before.volume, after.volume)
+    if vol_tv.is_zero():
+        return None
+    prev = prev_list(stream, u, w, x, y, ll)
+    nxt = next_list(stream, u, w, x, y, ll)
+    return LatencyPair(x, y), vol_tv, whole.volume, prev.entries, nxt.entries
+
+
+def _cell(entries, start, x, forward):
+    """Accumulated volume of the cell holding x in a boundary list scanned
+    from `start`; None when x lies outside the list's cells.  x on the last
+    boundary belongs to the outermost cell."""
+    sign = 1 if forward else -1
+    lo, x, acc = sign * start, sign * x, None
+    for b, acc in entries:
+        if lo <= x < sign * b:
+            return acc
+        lo = sign * b
+    return acc if x == lo else None
 
 
 def cell_ratio(stream, u, w, tv, ll, i, j):
@@ -149,44 +146,14 @@ def cell_ratio(stream, u, w, tv, ll, i, j):
     Points exactly on the outer support boundary use the outermost cell
     (the closure convention; the boundary itself has measure zero).
     """
-    anchor, vol_tv = _anchor_volume(stream, u, w, tv, ll)
-    if anchor is None or vol_tv.is_zero():
+    found = _anchored(stream, u, w, tv, ll)
+    if found is None:
         return Q(0)
-    s, a = anchor
-    if not (i <= s and j >= a):
+    (s, a), vol_tv, middle, prev, nxt = found
+    left = _cell(prev, s, i, False)
+    right = _cell(nxt, a, j, True)
+    if left is None or right is None:
         return Q(0)
-    prev = prev_list(stream, u, w, s, a, ll)
-    nxt = next_list(stream, u, w, s, a, ll)
-    if not prev.entries or not nxt.entries:
-        return Q(0)
-
-    left = None
-    s_hi = s
-    for s_left, acc in prev.entries:
-        if s_left < i <= s_hi:
-            left = acc
-            break
-        s_hi = s_left
-    if left is None:
-        s_min, acc = prev.entries[-1]
-        if i < s_min:
-            return Q(0)
-        left = acc  # i == lower support bound
-
-    right = None
-    a_lo = a
-    for a_right, acc in nxt.entries:
-        if a_lo <= j < a_right:
-            right = acc
-            break
-        a_lo = a_right
-    if right is None:
-        a_max, acc = nxt.entries[-1]
-        if j > a_max:
-            return Q(0)
-        right = acc  # j == upper support bound
-
-    middle = _vol(stream, s, u, a, w)
     return vol_div(vol_tv, vol_add(vol_add(left, right), middle))
 
 
@@ -194,18 +161,16 @@ def contribution(stream, u, w, tv, ll):
     """Exact contribution of the ordered pair (u, w) to the betweenness of
     the temporal node tv, with the anchor latency pair when non-zero."""
     stream.check_temporal_node(tv)
-    anchor, vol_tv = _anchor_volume(stream, u, w, tv, ll)
-    if vol_tv.is_zero():
+    found = _anchored(stream, u, w, tv, ll)
+    if found is None:
         return ContributionResult(Q(0), None)
+    anchor, vol_tv, middle, prev, nxt = found
     s, a = anchor
-    middle = _vol(stream, s, u, a, w)
-    prev = prev_list(stream, u, w, s, a, ll)
-    nxt = next_list(stream, u, w, s, a, ll)
     total = Q(0)
     s_hi = s
-    for s_left, left in prev.entries:
+    for s_left, left in prev:
         a_lo = a
-        for a_right, right in nxt.entries:
+        for a_right, right in nxt:
             denom = vol_add(vol_add(left, right), middle)
             ratio = vol_div(vol_tv, denom)
             if ratio:

@@ -15,6 +15,8 @@ from bisect import bisect_right, insort
 from fractions import Fraction
 from operator import add
 
+MAX_GRID_POINTS = 50_000  # the largest grid one oracle call will scan
+
 
 class GridError(ValueError):
     pass
@@ -113,6 +115,9 @@ class _GridTable:
                  "_walks")
 
     def __init__(self, stream, grid, k_lo, k_hi):
+        if k_hi - k_lo + 1 > MAX_GRID_POINTS:
+            raise GridError("grid of %d points exceeds the oracle limit of %d"
+                            % (k_hi - k_lo + 1, MAX_GRID_POINTS))
         self.k_lo, self.k_hi = k_lo, k_hi
         self.graphs = {k: stream.graph_at(grid.time(k))
                        for k in range(k_lo, k_hi + 1)}

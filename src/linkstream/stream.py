@@ -121,6 +121,9 @@ class LinkStream:
         times = set()
         for ivs in self.presence.values():
             times.update(ivs.bounds())
+        for t in (alpha, omega, *times):
+            if not isinstance(t, (int, Q)):
+                raise TypeError("cannot convert %r to an exact rational" % (t,))
         self._event_times = sorted(times)
         # Tables that do not depend on a query's source, filled on first use
         # and shared by every query.  Slot 2i+1 is event time i and slot 2i

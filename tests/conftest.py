@@ -36,5 +36,13 @@ def random_stream(rng, max_nodes=5, max_segments=8, horizon=20):
     return LinkStream(Q(0), Q(horizon), nodes, presence)
 
 
+def reversed_stream(stream):
+    """The stream with time reversed: the window [-omega, -alpha], and each
+    interval [b, e] becomes [-e, -b]."""
+    presence = {pair: [(-e, -b) for b, e in ivs]
+                for pair, ivs in stream.presence.items()}
+    return LinkStream(-stream.omega, -stream.alpha, stream.nodes, presence)
+
+
 def seeded(seed):
     return random.Random(seed)

@@ -204,6 +204,21 @@ class TestDiagnostics:
         assert code == 1
         assert "line 2" in err
 
+    # every grid of `--verify` refines this bound's denominator (10**24 + 7)
+    FINE = "0 10\na b 1/1000000000000000000000007 2\nb c 3 4\n"
+
+    @pytest.mark.parametrize("argv", [
+        ("volumes", "--from", "0", "a", "--to", "10", "b", "--verify"),
+        ("betweenness", "--at", "5", "b", "--verify"),
+    ], ids=["volumes", "betweenness"])
+    def test_verify_grid_too_fine(self, capsys, tmp_path, argv):
+        path = tmp_path / "fine.ls"
+        path.write_text(self.FINE, encoding="utf-8")
+        code, out, err = invoke(capsys, argv[0], "--stream", str(path),
+                                *argv[1:])
+        assert code == 1 and out != ""
+        assert err.startswith("error: grid of ") and "limit" in err
+
     def test_usage_error(self, capsys):
         code, _, _ = invoke(capsys, "volumes")
         assert code == 2

@@ -114,6 +114,15 @@ class TestCellRatio:
         )
         assert got == expected
 
+    def test_zero_on_the_anchor_side(self, demo, ll_ae):
+        # the anchor of (9/2, c) is (2, 9): cells start at or before 2 and
+        # end at or after 9, corner included
+        tv = tn("9/2", "c")
+        for (i, j), expected in [((2, 9), Q(3, 4)), ((3, 18), 0),
+                                 ((0, 8), 0), ((3, 8), 0)]:
+            got = cell_ratio(demo, "a", "e", tv, ll_ae, Q(i), Q(j))
+            assert got == expected, (i, j)
+
     def test_ratio_in_unit_interval(self, demo, ll_ae):
         for t in range(0, 33, 4):
             for v in demo.nodes:

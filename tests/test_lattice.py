@@ -98,8 +98,8 @@ class TestLattice:
     def test_float_times_are_rejected(self, demo):
         with pytest.raises(TypeError, match="exact rational"):
             betweenness(demo, TemporalNode(4.5, "c"))
-        stream = LinkStream(0.0, 10.0, "ab", {("a", "b"): [(1.0, 5.0)]})
         with pytest.raises(TypeError, match="exact rational"):
+            stream = LinkStream(0.0, 10.0, "ab", {("a", "b"): [(1.0, 5.0)]})
             betweenness(stream, TemporalNode(Q(2), "a"))
 
 

@@ -53,6 +53,22 @@ class TestGridSpec:
         with pytest.raises(GridError):
             GridSpec(Fraction(2)).check_stream(demo)
 
+    def test_grid_size_is_bounded(self):
+        stream = LinkStream(Q(0), Q(1), "ab", {("a", "b"): [(Q(0), Q(1))]})
+        limit = linkstream.oracle.MAX_GRID_POINTS
+        over = GridSpec(Fraction(1, limit))  # limit + 1 points
+        calls = [
+            lambda g: grid_count_shortest(stream, tn(0, "a"), tn(1, "b"), g),
+            lambda g: grid_fastest(stream, tn(0, "a"), "b", g),
+            lambda g: grid_contribution(stream, "a", "b", tn(Q(1, 2), "a"), g),
+            lambda g: grid_betweenness(stream, [tn(Q(1, 2), "a")], g),
+        ]
+        for call in calls:
+            with pytest.raises(GridError, match="exceeds the oracle limit"):
+                call(over)
+        fits = GridSpec(Fraction(1, limit - 1))  # exactly limit points
+        assert grid_count_shortest(stream, tn(0, "a"), tn(1, "b"), fits)[0] == 1
+
 
 class TestCountShortest:
     def test_length_is_exact(self, demo):

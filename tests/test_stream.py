@@ -182,6 +182,17 @@ class TestLinkStreamValidation:
         with pytest.raises(StreamError):
             LinkStream(Q(5), Q(0), [], {})
 
+    @pytest.mark.parametrize("alpha,omega,bounds", [
+        (0.0, Q(10), (Q(1), Q(5))),
+        (Q(0), 10.0, (Q(1), Q(5))),
+        (Q(0), Q(10), (1.0, Q(5))),
+        (0, 10, (1, 5.5)),
+    ])
+    def test_float_time_rejected(self, alpha, omega, bounds):
+        with pytest.raises(TypeError, match="cannot convert .* to an exact "
+                                            "rational"):
+            LinkStream(alpha, omega, "ab", {("a", "b"): [bounds]})
+
     def test_check_temporal_node(self, demo):
         demo.check_temporal_node(TemporalNode(Q(0), "a"))
         with pytest.raises(StreamError):
