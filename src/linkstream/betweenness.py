@@ -4,7 +4,7 @@ profile sampler evaluating betweenness on a regular time grid for all nodes.
 
 from typing import NamedTuple
 
-from .contribution import contribution
+from .contribution import _contribution
 from .latencies import cached_latency_lists
 from .numbers import Q, on_lattice
 from .stream import TemporalNode
@@ -28,7 +28,9 @@ def betweenness(stream, tv):
     for u in twin.nodes:
         lists = cached_latency_lists(twin, u)
         for w in twin.nodes:
-            total += contribution(twin, u, w, tv, lists[w]).value
+            value = _contribution(twin, u, w, tv, lists[w]).value
+            if value:  # most pairs give 0: skip their Fraction additions
+                total += value
     return total / (scale * scale)
 
 

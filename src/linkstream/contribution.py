@@ -11,12 +11,11 @@ reversal, so each is written once, with a direction.
 """
 
 from bisect import bisect_left, bisect_right
-from operator import itemgetter
 from typing import NamedTuple, Optional
 
-from .latencies import LatencyPair, reaches
+from .latencies import LatencyPair, _reaches
 from .numbers import Q
-from .shortest_volumes import vsp
+from .shortest_volumes import _vsp, vsp
 from .stream import StreamError, TemporalNode
 from .volumes import V_ZERO, vol_add, vol_div, vol_mul
 
@@ -30,8 +29,7 @@ class ContributionResult(NamedTuple):
     anchor: Optional[LatencyPair]
 
 
-def _vsp(stream, i, u, j, v):
-    return vsp(stream, TemporalNode(i, u), TemporalNode(j, v))
+_NO_CONTRIBUTION = ContributionResult(Q(0), None)
 
 
 def _gap_dist(stream, t, u, w, forward):
@@ -45,20 +43,26 @@ def _gap_dist(stream, t, u, w, forward):
     return stream.bfs(k + step * (k & 1), u).dist.get(w)
 
 
-def _scan(stream, u, w, s, a, ll, forward):
+def _scan(stream, u, w, s, a, ll, forward, d_anchor):
     """Boundaries of the equal-latency, equal-distance pairs beyond the
     anchor (s, a), up to the support bound, each with the volume of shortest
     fastest paths accumulated so far.  The direction picks the pair order,
-    the boundary coordinate, the gap side and the window end."""
-    d_anchor = _vsp(stream, s, u, a, w).distance
+    the boundary coordinate, the gap side and the window end.  `d_anchor`
+    is the anchor's distance; None asks the sweep for it, which also
+    validates the anchor's temporal nodes."""
     if d_anchor is None:
-        raise StreamError("(%s,%s) is not a latency pair from %r to %r"
-                          % (s, a, u, w))
+        d_anchor = vsp(stream, TemporalNode(s, u), TemporalNode(a, w)).distance
+        if d_anchor is None:
+            raise StreamError("(%s,%s) is not a latency pair from %r to %r"
+                              % (s, a, u, w))
+    starts, arrivals = ll.starts, ll.arrivals
     if forward:
-        pairs = ll[bisect_right(ll, a, key=itemgetter(1)):]
+        k = bisect_right(arrivals, a)
+        pairs = zip(starts[k:], arrivals[k:])
         side, end = 1, stream.omega
     else:
-        pairs = ll[:bisect_left(ll, s, key=itemgetter(0))][::-1]
+        k = bisect_left(starts, s)
+        pairs = zip(reversed(starts[:k]), reversed(arrivals[:k]))
         side, end = 0, stream.alpha
     result = []
     vol = V_ZERO
@@ -84,16 +88,16 @@ def _scan(stream, u, w, s, a, ll, forward):
     return BoundaryList(result)
 
 
-def prev_list(stream, u, w, s, a, ll):
-    """Backward scan from the anchor (s, a): start boundaries down to the
-    lower support bound alpha."""
-    return _scan(stream, u, w, s, a, ll, False)
+def prev_list(stream, u, w, s, a, ll, d_anchor=None):
+    """Backward scan from the anchor (s, a), whose distance is d_anchor:
+    start boundaries down to the lower support bound alpha."""
+    return _scan(stream, u, w, s, a, ll, False, d_anchor)
 
 
-def next_list(stream, u, w, s, a, ll):
-    """Forward scan from the anchor (s, a): arrival boundaries up to the
-    upper support bound omega."""
-    return _scan(stream, u, w, s, a, ll, True)
+def next_list(stream, u, w, s, a, ll, d_anchor=None):
+    """Forward scan from the anchor (s, a), whose distance is d_anchor:
+    arrival boundaries up to the upper support bound omega."""
+    return _scan(stream, u, w, s, a, ll, True, d_anchor)
 
 
 def _anchored(stream, u, w, tv, ll):
@@ -103,13 +107,19 @@ def _anchored(stream, u, w, tv, ll):
     fastest path from u to w involves tv.
 
     The anchor is the first pair (x, y) with x <= t <= y such that (x,u)
-    reaches tv and tv reaches (y,w); only its volumes need sweeps."""
+    reaches tv and tv reaches (y,w); only its volumes need sweeps.  t is
+    located among the event times once, by its int bounds."""
     t, v = tv
-    lo = bisect_left(ll, t, key=itemgetter(1))
-    hi = bisect_right(ll, t, key=itemgetter(0))
+    t_lo, t_hi = stream.int_bounds(t)
+    starts, arrivals = ll.starts, ll.arrivals
+    lo, hi = bisect_left(arrivals, t_hi), bisect_right(starts, t_lo)
+    if lo == hi:
+        return None
+    t_slot = stream.slot(t)
     for k in range(lo, hi):
-        x, y = ll[k]
-        if reaches(stream, (x, u), tv) and reaches(stream, tv, (y, w)):
+        x, y = starts[k], arrivals[k]
+        if (_reaches(stream, stream.slot(x), x, u, t_lo, v)
+                and _reaches(stream, t_slot, t_hi, v, y, w)):
             break
     else:
         return None
@@ -121,8 +131,8 @@ def _anchored(stream, u, w, tv, ll):
     vol_tv = vol_mul(before.volume, after.volume)
     if vol_tv.is_zero():
         return None
-    prev = prev_list(stream, u, w, x, y, ll)
-    nxt = next_list(stream, u, w, x, y, ll)
+    prev = prev_list(stream, u, w, x, y, ll, whole.distance)
+    nxt = next_list(stream, u, w, x, y, ll, whole.distance)
     return LatencyPair(x, y), vol_tv, whole.volume, prev.entries, nxt.entries
 
 
@@ -161,9 +171,14 @@ def contribution(stream, u, w, tv, ll):
     """Exact contribution of the ordered pair (u, w) to the betweenness of
     the temporal node tv, with the anchor latency pair when non-zero."""
     stream.check_temporal_node(tv)
+    return _contribution(stream, u, w, tv, ll)
+
+
+def _contribution(stream, u, w, tv, ll):
+    """contribution, without validating tv."""
     found = _anchored(stream, u, w, tv, ll)
     if found is None:
-        return ContributionResult(Q(0), None)
+        return _NO_CONTRIBUTION
     anchor, vol_tv, middle, prev, nxt = found
     s, a = anchor
     total = Q(0)

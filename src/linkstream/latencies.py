@@ -7,7 +7,6 @@ times only (the continuum between event times is implied).
 """
 
 from bisect import bisect_left
-from operator import itemgetter
 from typing import NamedTuple
 
 from .numbers import Q
@@ -23,13 +22,17 @@ class LatencyPair(NamedTuple):
 
 
 class LatencyList:
-    """Componentwise strictly increasing list of latency pairs."""
+    """Componentwise strictly increasing list of latency pairs, held as the
+    plain lists of their starts and of their arrivals, for bisection."""
 
-    __slots__ = ("pairs",)
+    __slots__ = ("starts", "arrivals")
 
     def __init__(self, pairs):
-        self.pairs = [LatencyPair(s, a) for s, a in pairs]
-        for (s, a), (s2, a2) in zip(self.pairs, self.pairs[1:]):
+        pairs = list(pairs)
+        self.starts = [s for s, _ in pairs]
+        self.arrivals = [a for _, a in pairs]
+        starts, arrivals = self.starts, self.arrivals
+        for s, s2, a, a2 in zip(starts, starts[1:], arrivals, arrivals[1:]):
             if not (s < s2 and a < a2):
                 raise ValueError(
                     "latency pairs not componentwise increasing: "
@@ -37,19 +40,20 @@ class LatencyList:
                 )
 
     def __iter__(self):
-        return iter(self.pairs)
+        return map(LatencyPair, self.starts, self.arrivals)
 
     def __len__(self):
-        return len(self.pairs)
+        return len(self.starts)
 
     def __getitem__(self, k):
-        return self.pairs[k]
+        return list(self)[k]
 
     def __eq__(self, other):
-        return isinstance(other, LatencyList) and self.pairs == other.pairs
+        return (isinstance(other, LatencyList) and self.starts == other.starts
+                and self.arrivals == other.arrivals)
 
     def __repr__(self):
-        return "LatencyList(%r)" % (self.pairs,)
+        return "LatencyList(%r)" % (list(self),)
 
 
 def latency_lists(stream, u):
@@ -57,7 +61,8 @@ def latency_lists(stream, u):
 
     Scans event times in increasing order; at each time, every connected
     component reachable from u extends the lists of its members that are not
-    already reachable from the latest feasible start.
+    already reachable from the latest feasible start.  A one-node component
+    has no such member, so it is skipped.
     """
     if u not in stream.nodes:
         raise StreamError("unknown node %r" % u)
@@ -65,6 +70,8 @@ def latency_lists(stream, u):
     for i, t in enumerate(stream.event_times()):
         ll[u].append((t, t))
         for comp in stream.components(2 * i + 1):
+            if len(comp) == 1:
+                continue
             s = None
             maximizers = set()
             for w in comp:
@@ -99,11 +106,19 @@ def reaches(stream, src, dst):
     t, v = dst
     if x > t:
         return False
-    if u == v or v in stream.bfs(stream.slot(x), u).dist:
+    return _reaches(stream, stream.slot(x), stream.int_bounds(x)[1], u,
+                    stream.int_bounds(t)[0], v)
+
+
+def _reaches(stream, slot, after, u, by, v):
+    """reaches from (x, u) to (t, v) for x <= t, with x given by its slot
+    and its upper int bound `after`, and t by its lower int bound `by`
+    (`LinkStream.int_bounds`): every comparison is on event times."""
+    if u == v or v in stream.bfs(slot, u).dist:
         return True
     ll = cached_latency_lists(stream, u)[v]
-    k = bisect_left(ll, x, key=itemgetter(0))
-    return k < len(ll) and ll[k][1] <= t
+    k = bisect_left(ll.starts, after)
+    return k < len(ll.starts) and ll.arrivals[k] <= by
 
 
 def latency(stream, src, dst_node, arrive_by=None):

@@ -7,9 +7,10 @@ sigma * (t'-t)^d / d! terms (one per shortest path of length d in the gap
 graph); arriving exactly at t' adds the volumes of neighbors one link closer.
 
 Tables from a fixed source are cached on the stream, so repeated queries
-(contribution and betweenness make many) cost one sweep per source.  Gap
-graphs and their BFS tables do not depend on the source: the stream's slot
-tables hold them once for every sweep.
+(contribution and betweenness make many) cost one sweep per source, and the
+sweep advances on demand: it runs only as far as the latest time read from
+it, not to omega.  Gap graphs and their BFS tables do not depend on the
+source: the stream's slot tables hold them once for every sweep.
 """
 
 from bisect import bisect_right
@@ -90,47 +91,59 @@ def _advance(stream, gap, nxt, span, dist_t, vol_t):
 
 
 class SweepTables:
-    """Distance/volume tables from one source temporal node, evaluated at
-    every event time up to omega, with cheap extension to off-event times."""
+    """Distance/volume tables from one source temporal node.  The sweep
+    advances on demand: reading the state at an event time runs the steps
+    up to it that have not run yet, and an off-event time extends the state
+    at the event time before it."""
 
     def __init__(self, stream, i, u):
         self.stream = stream
         self.source = (i, u)
         events = stream._event_times
-        first = bisect_right(events, i)
-        times = [i] + events[first:]
+        first = bisect_right(events, stream.int_bounds(i)[0])
+        self.times = [i] + events[first:]
         # (gap slot, arrival slot) of each step: event k sits in slot 2k+1
         # behind the gap 2k; omega past the last event sits in that gap
-        steps = [(2 * k, 2 * k + 1) for k in range(first, len(events))]
-        if times[-1] < stream.omega:
-            times.append(stream.omega)
-            steps.append((2 * len(events), 2 * len(events)))
+        self._steps = [(2 * k, 2 * k + 1) for k in range(first, len(events))]
+        if self.times[-1] < stream.omega:
+            self.times.append(stream.omega)
+            self._steps.append((2 * len(events), 2 * len(events)))
         init = stream.bfs(stream.slot(i), u)
         dist = dict(init.dist)
-        vol = {w: Volume(init.count[w], 0) for w in dist}
-        states = [(dist, vol)]
-        for (gap, nxt), t, t2 in zip(steps, times, times[1:]):
-            dist, vol = _advance(stream, gap, nxt, t2 - t, dist, vol)
-            states.append((dist, vol))
-        self.times = times
-        self.states = states
+        self.states = [(dist, {w: Volume(init.count[w], 0) for w in dist})]
         self._extensions = {}
+
+    @property
+    def steps_run(self):
+        """Sweep steps run so far (of len(times) - 1 planned)."""
+        return len(self.states) - 1
+
+    def _state(self, k):
+        """(dist, vol) maps at times[k], running the sweep up to it."""
+        states, times = self.states, self.times
+        while len(states) <= k:
+            n = len(states)
+            gap, nxt = self._steps[n - 1]
+            states.append(_advance(self.stream, gap, nxt,
+                                   times[n] - times[n - 1], *states[-1]))
+        return states[k]
 
     def state_at(self, j):
         """(dist, vol) maps at time j >= source time."""
-        k = bisect_right(self.times, j) - 1
-        if k < 0:
+        times = self.times
+        k = bisect_right(times, self.stream.int_bounds(j)[0], 1) - 1
+        if k == 0 and j < times[0]:
             raise StreamError("query time %s before source time %s"
                               % (j, self.source[0]))
-        if self.times[k] == j:
-            return self.states[k]
+        if times[k] == j:
+            return self._state(k)
         state = self._extensions.get(j)
         if state is None:
             # every event time after the source is on the table, so j lies
             # in a gap, which is also the graph at j
             slot = self.stream.slot(j)
-            dist, vol = self.states[k]
-            state = _advance(self.stream, slot, slot, j - self.times[k], dist, vol)
+            state = _advance(self.stream, slot, slot, j - times[k],
+                             *self._state(k))
             self._extensions[j] = state
         return state
 
@@ -152,11 +165,17 @@ def vsp(stream, src, dst):
     if src.time > dst.time:
         raise StreamError("source time %s after destination time %s"
                           % (src.time, dst.time))
-    dist, vol = sweep_tables(stream, src.time, src.node).state_at(dst.time)
-    d = dist.get(dst.node)
+    return _vsp(stream, src.time, src.node, dst.time, dst.node)
+
+
+def _vsp(stream, i, u, j, v):
+    """vsp from (i, u) to (j, v), without validating them: both temporal
+    nodes are in the stream and i <= j."""
+    dist, vol = sweep_tables(stream, i, u).state_at(j)
+    d = dist.get(v)
     if d is None:
         return VspResult(V_ZERO, None)
-    return VspResult(vol[dst.node], d)
+    return VspResult(vol[v], d)
 
 
 def reachable(stream, src, dst):

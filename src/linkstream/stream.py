@@ -125,6 +125,7 @@ class LinkStream:
             if not isinstance(t, (int, Q)):
                 raise TypeError("cannot convert %r to an exact rational" % (t,))
         self._event_times = sorted(times)
+        self._int_events = all(type(t) is int for t in self._event_times)
         # Tables that do not depend on a query's source, filled on first use
         # and shared by every query.  Slot 2i+1 is event time i and slot 2i
         # the open gap before it (slot 2n is the gap after the last of n
@@ -154,12 +155,23 @@ class LinkStream:
         self._check_time(t)
         return self.snapshot(self.slot(t))
 
+    def int_bounds(self, t):
+        """(lo, hi) that place t among the event times: for every event time
+        e, e <= t iff e <= lo, and e >= t iff e >= hi.  When every event time
+        is an int, they are the floor and ceiling of t, so that locating an
+        off-lattice time compares ints only; otherwise both are t."""
+        if self._int_events and type(t) is Q:
+            lo = t.numerator // t.denominator
+            return lo, lo + (t.denominator != 1)
+        return t, t
+
     def slot(self, t):
         """Index of the slot holding time t: 2i+1 at event time i, 2i on the
         open gap before it."""
         ev = self._event_times
-        i = bisect_left(ev, t)
-        return 2 * i + 1 if i < len(ev) and ev[i] == t else 2 * i
+        lo, hi = self.int_bounds(t)
+        i = bisect_left(ev, hi)
+        return 2 * i + 1 if i < len(ev) and ev[i] == lo else 2 * i
 
     def snapshot(self, k):
         """The graph of slot k; all slots are built in one pass over the

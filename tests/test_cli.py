@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from linkstream.cli import run
@@ -218,6 +220,18 @@ class TestDiagnostics:
                                 *argv[1:])
         assert code == 1 and out != ""
         assert err.startswith("error: grid of ") and "limit" in err
+
+    def test_verify_work_too_large(self, capsys, tmp_path):
+        """Grids of 16 001 and 32 001 points, each under the point limit,
+        whose cells over 6 node pairs the oracle refuses to walk."""
+        path = tmp_path / "long.ls"
+        path.write_text("0 2\na b 1/1000 1\nb c 3/2 2\n", encoding="utf-8")
+        start = time.perf_counter()
+        code, out, err = invoke(capsys, "betweenness", "--stream", str(path),
+                                "--at", "1", "b", "--verify")
+        assert time.perf_counter() - start < 10
+        assert code == 1 and out == "1/2\n"
+        assert err.startswith("error: grid of 32001 points") and "limit" in err
 
     def test_usage_error(self, capsys):
         code, _, _ = invoke(capsys, "volumes")
