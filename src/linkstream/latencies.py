@@ -6,7 +6,7 @@ have event-time coordinates; the lists record instantaneous pairs at event
 times only (the continuum between event times is implied).
 """
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from typing import NamedTuple
 
 from .numbers import Q
@@ -140,10 +140,7 @@ def latency(stream, src, dst_node, arrive_by=None):
         return Q(0)
     if dst_node in stream.bfs(stream.slot(x), u).dist:
         return Q(0)
-    best = None
-    for s, a in cached_latency_lists(stream, u)[dst_node]:
-        if s >= x and a <= y:
-            dur = a - s
-            if best is None or dur < best:
-                best = dur
-    return best
+    # starts and arrivals both increase, so the usable pairs form one range
+    ll = cached_latency_lists(stream, u)[dst_node]
+    usable = range(bisect_left(ll.starts, x), bisect_right(ll.arrivals, y))
+    return min((ll.arrivals[k] - ll.starts[k] for k in usable), default=None)

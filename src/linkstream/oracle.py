@@ -201,20 +201,20 @@ def grid_count_shortest(stream, src, dst, grid):
             for y, dy in dist.items():
                 if dy == 0:
                     continue
-                ly = lx + dy
-                cy = cx * count[y]
-                cur = cand.get(y)
-                if cur is None or ly < cur[0]:
-                    cand[y] = (ly, cy)
-                elif ly == cur[0]:
-                    cand[y] = (ly, cur[1] + cy)
+                _keep_shortest(cand, y, lx + dy, cx * count[y])
         for y, (ly, cy) in cand.items():
-            cur = avail.get(y)
-            if cur is None or ly < cur[0]:
-                avail[y] = (ly, cy)
-            elif ly == cur[0]:
-                avail[y] = (ly, cur[1] + cy)
+            _keep_shortest(avail, y, ly, cy)
     return avail.get(dst.node, (None, 0))
+
+
+def _keep_shortest(best, y, length, count):
+    """Record `count` paths of `length` to y in best[y] = (length, count):
+    the shorter length wins, and counts add on a tie."""
+    cur = best.get(y)
+    if cur is None or length < cur[0]:
+        best[y] = (length, count)
+    elif length == cur[0]:
+        best[y] = (length, cur[1] + count)
 
 
 # -- fastest paths ------------------------------------------------------------
@@ -245,123 +245,67 @@ def grid_fastest(stream, src, dst_node, grid, arrive_by=None):
 # -- contribution -------------------------------------------------------------
 
 
-class _PairTables:
-    """Per (first crossing s, last crossing a): minimal length, count of
-    minimal-length paths, and counts through each queried temporal node."""
+def _walk_sweep(table, start, k_from, k_to, keep):
+    """Walk counts from `start` over the grid indices k_from, ..., k_to, in
+    that order: a walk crosses one or more links at each index it uses, and
+    its first crossing is at k_from.  Returns (last, kept): last[y][r] counts
+    the walks of length r to y whose last crossing is at k_to, and kept[k]
+    copies the running counts, node -> counts by length, after index k, for
+    each k in keep.
 
-    __slots__ = ("length", "count", "through")
+    Walk counts of an undirected snapshot are symmetric (walks[r][x][y] ==
+    walks[r][y][x]), so the sweep from w with k_from > k_to counts the walks
+    that end at w, each read from its far end: the backward half of a pair
+    is the forward half started at w."""
+    maxlen = table.maxlen
+    step = 1 if k_to >= k_from else -1
+    frontier = {start: [1] + [0] * maxlen}  # the empty walk, at k_from only
+    avail = {}
+    kept = {}
+    for k in range(k_from, k_to + step, step):
+        walks = table.walks(k)
+        new = {}
+        for x, lens in (frontier if k == k_from else avail).items():
+            for r in range(1, maxlen + 1):
+                row = walks[r].get(x)
+                if not row:
+                    continue
+                for lam in range(maxlen + 1 - r):
+                    cx = lens[lam]
+                    if cx:
+                        for y, c in row.items():
+                            acc = new.setdefault(y, [0] * (maxlen + 1))
+                            acc[lam + r] += cx * c
+        for y, lens in new.items():
+            avail[y] = list(map(add, avail[y], lens)) if y in avail else lens
+        if k in keep:
+            kept[k] = {x: list(lens) for x, lens in avail.items()}
+    return new, kept
 
-    def __init__(self, table, u, w, ks, ka, tv_idx):
-        maxlen = table.maxlen
-        walks_at = table.walks
-        interior = [(kt, v) for kt, v in tv_idx
-                    if v not in (u, w) and ks <= kt <= ka]
-        snap_at = sorted({kt for kt, _ in interior})
 
-        # forward: walks from u, first crossing exactly at ks, all crossings
-        # in [ks, k]; avail[x][length] = count
-        avail = {}
-        arrived = [0] * (maxlen + 1)
-        fwd_snap = {}
-        snap_i = 0
-        for k in range(ks, ka + 1):
-            walks = walks_at(k)
-            new = {}
-            if k == ks:
-                for r in range(1, maxlen + 1):
-                    for y, c in walks[r].get(u, {}).items():
-                        new.setdefault(y, [0] * (maxlen + 1))[r] += c
-            else:
-                for x, lens in avail.items():
-                    for r in range(1, maxlen + 1):
-                        row = walks[r].get(x)
-                        if not row:
-                            continue
-                        for lam in range(1, maxlen + 1 - r):
-                            cx = lens[lam]
-                            if cx:
-                                for y, c in row.items():
-                                    new.setdefault(
-                                        y, [0] * (maxlen + 1)
-                                    )[lam + r] += cx * c
-            if k == ka:
-                wl = new.get(w)
-                if wl:
-                    for lam in range(maxlen + 1):
-                        arrived[lam] += wl[lam]
-            for y, lens in new.items():
-                tgt = avail.setdefault(y, [0] * (maxlen + 1))
-                for lam in range(maxlen + 1):
-                    tgt[lam] += lens[lam]
-            while snap_i < len(snap_at) and snap_at[snap_i] == k:
-                fwd_snap[k] = {x: list(lens) for x, lens in avail.items()}
-                snap_i += 1
-
-        self.length = None
-        self.count = 0
-        for lam in range(1, maxlen + 1):
-            if arrived[lam]:
-                self.length = lam
-                self.count = arrived[lam]
-                break
-
-        self.through = {}
-        if self.length is None:
-            for kt, v in tv_idx:
-                self.through[(kt, v)] = 0
-            return
-
-        need_bwd = sorted({kt for kt, v in interior}, reverse=True)
-        bwd_snap = {}
-        if need_bwd:
-            avail_b = {}
-            snap_j = 0
-            for k in range(ka, ks - 1, -1):
-                walks = walks_at(k)
-                new = {}
-                if k == ka:
-                    for r in range(1, maxlen + 1):
-                        for x, row in walks[r].items():
-                            c = row.get(w)
-                            if c:
-                                new.setdefault(x, [0] * (maxlen + 1))[r] += c
-                else:
-                    for y, lens in avail_b.items():
-                        for r in range(1, maxlen + 1):
-                            for x, row in walks[r].items():
-                                c = row.get(y)
-                                if not c:
-                                    continue
-                                for lam in range(1, maxlen + 1 - r):
-                                    cy = lens[lam]
-                                    if cy:
-                                        new.setdefault(
-                                            x, [0] * (maxlen + 1)
-                                        )[lam + r] += cy * c
-                for x, lens in new.items():
-                    tgt = avail_b.setdefault(x, [0] * (maxlen + 1))
-                    for lam in range(maxlen + 1):
-                        tgt[lam] += lens[lam]
-                while snap_j < len(need_bwd) and need_bwd[snap_j] == k:
-                    bwd_snap[k] = {x: list(lens)
-                                   for x, lens in avail_b.items()}
-                    snap_j += 1
-
-        for kt, v in tv_idx:
-            if v == u:
-                self.through[(kt, v)] = self.count if kt == ks else 0
-            elif v == w:
-                self.through[(kt, v)] = self.count if kt == ka else 0
-            elif kt < ks or kt > ka:
-                self.through[(kt, v)] = 0
-            else:
-                fwd = fwd_snap.get(kt, {}).get(v)
-                bwd = bwd_snap.get(kt, {}).get(v)
-                total = 0
-                if fwd and bwd:
-                    for l1 in range(1, self.length):
-                        total += fwd[l1] * bwd[self.length - l1]
-                self.through[(kt, v)] = total
+def _pair_counts(table, u, w, ks, ka, tv_idx):
+    """(minimal length, count of minimal-length paths, counts through each
+    temporal node of tv_idx) over the paths from u to w whose first
+    crossing is at ks and last crossing at ka; (None, 0, zeros) when there
+    are none."""
+    interior = {kt for kt, v in tv_idx if v not in (u, w) and ks <= kt <= ka}
+    last, fwd = _walk_sweep(table, u, ks, ka, interior)
+    arrived = last.get(w)
+    if not arrived:
+        return None, 0, (0,) * len(tv_idx)
+    length = next(lam for lam, c in enumerate(arrived) if c)
+    count = arrived[length]
+    bwd = _walk_sweep(table, w, ka, ks, interior)[1] if interior else {}
+    through = []
+    for kt, v in tv_idx:
+        if v in (u, w):
+            through.append(count if kt == (ks if v == u else ka) else 0)
+            continue
+        f = fwd.get(kt, {}).get(v)
+        b = bwd.get(kt, {}).get(v)
+        through.append(sum(f[lam] * b[length - lam]
+                           for lam in range(1, length)) if f and b else 0)
+    return length, count, tuple(through)
 
 
 def _grid_contributions(table, u, w, arrivals, tv_idx):
@@ -376,10 +320,8 @@ def _grid_contributions(table, u, w, arrivals, tv_idx):
     def pair(ks):
         got = pairs.get(ks)
         if got is None:
-            tab = _PairTables(table, u, w, ks, arrivals[ks], tv_idx)
-            got = (tab.length, tab.count,
-                   tuple(tab.through[t] for t in tv_idx))
-            pairs[ks] = got
+            got = pairs[ks] = _pair_counts(table, u, w, ks, arrivals[ks],
+                                           tv_idx)
         return got
 
     sums = [{} for _ in tv_idx]  # per query: count -> sum of through * cells

@@ -309,17 +309,12 @@ def parse_stream(text):
             raise StreamError("line %d: %s" % (lineno, exc)) from None
         if b > e:
             raise StreamError("line %d: interval with b > e" % lineno)
+        if b < header[0] or e > header[1]:
+            raise StreamError("line %d: interval [%s, %s] outside [%s, %s]"
+                              % (lineno, b, e, *header))
         nodes.update((u, v))
         key = (u, v) if u < v else (v, u)
         raw.setdefault(key, []).append((b, e))
     if header is None:
         raise StreamError("missing `alpha omega` header line")
-    alpha, omega = header
-    for key, ivs in raw.items():
-        for b, e in ivs:
-            if b < alpha or e > omega:
-                raise StreamError(
-                    "pair %s %s: interval [%s, %s] outside [%s, %s]"
-                    % (key[0], key[1], b, e, alpha, omega)
-                )
-    return LinkStream(alpha, omega, nodes, raw)
+    return LinkStream(*header, nodes, raw)

@@ -20,7 +20,7 @@ from linkstream import (
     parse_stream,
 )
 
-from conftest import random_stream, seeded
+from conftest import random_stream, reversed_stream, seeded
 
 
 def tn(t, v):
@@ -198,6 +198,55 @@ class TestBetweenness:
     def test_checks_inputs(self, demo):
         with pytest.raises(GridError):
             grid_betweenness(demo, [tn(Q(1, 3), "a")], GridSpec(Fraction(1, 2)))
+
+
+class TestTimeReversal:
+    """Reading a stream backwards in time maps a path from (x, u) to (y, w)
+    onto one from (-y, w) to (-x, u) with the same crossings, so each grid
+    estimate on the reversed stream equals its mirror image on the stream.
+    The oracle's backward walk counts rely on this symmetry; test_reversal
+    checks the exact pipeline alike."""
+
+    GRID = GridSpec(Fraction(1, 2))
+
+    @staticmethod
+    def case(seed):
+        rng = seeded(seed)
+        stream = random_stream(rng, horizon=10)
+
+        def node():
+            return tn(Q(rng.randint(0, 20), 2), rng.choice(stream.nodes))
+
+        return rng, stream, reversed_stream(stream), node
+
+    @staticmethod
+    def mirror(tv):
+        return TemporalNode(-tv.time, tv.node)
+
+    @pytest.mark.parametrize("seed", range(60))
+    def test_betweenness(self, seed):
+        _, stream, rev, node = self.case(seed)
+        tvs = [node() for _ in range(3)]
+        assert grid_betweenness(stream, tvs, self.GRID) == grid_betweenness(
+            rev, [self.mirror(tv) for tv in tvs], self.GRID)
+
+    @pytest.mark.parametrize("seed", range(60))
+    def test_contribution(self, seed):
+        rng, stream, rev, node = self.case(seed)
+        for _ in range(4):
+            u, w = rng.sample(stream.nodes, 2)
+            tv = node()
+            assert grid_contribution(stream, u, w, tv, self.GRID) == \
+                grid_contribution(rev, w, u, self.mirror(tv), self.GRID)
+
+    @pytest.mark.parametrize("seed", range(60))
+    def test_count_shortest(self, seed):
+        _, stream, rev, node = self.case(seed)
+        for _ in range(8):
+            src, dst = sorted((node(), node()), key=lambda tv: tv.time)
+            assert grid_count_shortest(stream, src, dst, self.GRID) == \
+                grid_count_shortest(rev, self.mirror(dst), self.mirror(src),
+                                    self.GRID)
 
 
 # -- independence -------------------------------------------------------

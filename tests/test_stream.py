@@ -88,7 +88,7 @@ class TestParseStream:
             parse_stream("0 10\na a 1 2\n")
         with pytest.raises(StreamError, match="line 2"):
             parse_stream("0 10\na b one 2\n")
-        with pytest.raises(StreamError):
+        with pytest.raises(StreamError, match="line 2"):
             parse_stream("0 10\na b 5 12\n")  # outside the window
         with pytest.raises(StreamError, match="header"):
             parse_stream("# nothing\n")
