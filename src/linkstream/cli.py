@@ -134,7 +134,8 @@ def _cmd_latencies(args):
     stream = _load(args.stream)
     lists = latency_lists(stream, args.source)
     for w in stream.nodes:
-        pairs = " ".join("(%s,%s)" % (s, a) for s, a in lists[w])
+        pairs = " ".join("(%s,%s)" % (_fmt(s, args), _fmt(a, args))
+                         for s, a in lists[w])
         print("%s: %s" % (w, pairs) if pairs else "%s:" % w)
     return 0
 
@@ -143,13 +144,13 @@ def _cmd_contrib(args):
     stream = _load(args.stream)
     tv = _temporal_node(stream, args.at)
     lists = cached_latency_lists(stream, args.source)
-    if args.dest not in stream.nodes:
-        raise StreamError("unknown node %r" % args.dest)
+    stream.check_nodes(args.dest)
     res = contribution(stream, args.source, args.dest, tv, lists[args.dest])
     if res.anchor is None:
         print("anchor none")
     else:
-        print("anchor (%s,%s)" % (res.anchor.start, res.anchor.arrival))
+        print("anchor (%s,%s)" % (_fmt(res.anchor.start, args),
+                                  _fmt(res.anchor.arrival, args)))
     print("contribution %s" % _fmt(res.value, args))
     return 0
 

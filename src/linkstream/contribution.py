@@ -156,6 +156,8 @@ def cell_ratio(stream, u, w, tv, ll, i, j):
     Points exactly on the outer support boundary use the outermost cell
     (the closure convention; the boundary itself has measure zero).
     """
+    stream.check_nodes(u, w)
+    stream.check_temporal_node(tv)
     found = _anchored(stream, u, w, tv, ll)
     if found is None:
         return Q(0)
@@ -170,12 +172,13 @@ def cell_ratio(stream, u, w, tv, ll, i, j):
 def contribution(stream, u, w, tv, ll):
     """Exact contribution of the ordered pair (u, w) to the betweenness of
     the temporal node tv, with the anchor latency pair when non-zero."""
+    stream.check_nodes(u, w)
     stream.check_temporal_node(tv)
     return _contribution(stream, u, w, tv, ll)
 
 
 def _contribution(stream, u, w, tv, ll):
-    """contribution, without validating tv."""
+    """contribution, without validating its inputs."""
     found = _anchored(stream, u, w, tv, ll)
     if found is None:
         return _NO_CONTRIBUTION

@@ -10,7 +10,6 @@ from bisect import bisect_left, bisect_right
 from typing import NamedTuple
 
 from .numbers import Q
-from .stream import StreamError
 
 
 class LatencyPair(NamedTuple):
@@ -64,8 +63,7 @@ def latency_lists(stream, u):
     already reachable from the latest feasible start.  A one-node component
     has no such member, so it is skipped.
     """
-    if u not in stream.nodes:
-        raise StreamError("unknown node %r" % u)
+    stream.check_nodes(u)
     ll = {w: [] for w in stream.nodes}
     for i, t in enumerate(stream.event_times()):
         ll[u].append((t, t))
@@ -130,8 +128,7 @@ def latency(stream, src, dst_node, arrive_by=None):
     continuum of instantaneous pairs inside the gap holding src.time).
     """
     stream.check_temporal_node(src)
-    if dst_node not in stream.nodes:
-        raise StreamError("unknown node %r" % dst_node)
+    stream.check_nodes(dst_node)
     x, u = src
     y = stream.omega if arrive_by is None else arrive_by
     if y < x:

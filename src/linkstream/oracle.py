@@ -90,34 +90,16 @@ def _reach_set(graph, sources):
     return seen
 
 
-def _walk_counts(graph, maxlen):
-    """walks[r][x][y] = number of walks of length r from x to y, r=1..maxlen."""
-    one = {x: {y: 1 for y in graph.neighbors(x)} for x in graph.nodes}
-    walks = [None, one]
-    for _ in range(2, maxlen + 1):
-        prev = walks[-1]
-        nxt = {}
-        for x, row in prev.items():
-            acc = {}
-            for y, c in row.items():
-                for z in graph.neighbors(y):
-                    acc[z] = acc.get(z, 0) + c
-            if acc:
-                nxt[x] = acc
-        walks.append(nxt)
-    return walks
-
-
 def _has_edges(graph):
     return any(graph.adjacency[v] for v in graph.nodes)
 
 
 class _GridTable:
     """The snapshot at each grid index of [k_lo, k_hi], resolved once and
-    shared by every scan of one entry-point call."""
+    shared by every scan of one entry-point call, with the BFS of each
+    snapshot and node that its shortest-path steps have needed."""
 
-    __slots__ = ("k_lo", "k_hi", "graphs", "live", "changes", "maxlen",
-                 "_walks")
+    __slots__ = ("k_lo", "k_hi", "graphs", "live", "changes", "_searched")
 
     def __init__(self, stream, grid, k_lo, k_hi, pairs=0):
         points = k_hi - k_lo + 1
@@ -130,24 +112,42 @@ class _GridTable:
                             "pairs, beyond the oracle limit of %d"
                             % (points, cells, pairs, MAX_GRID_CELLS))
         self.k_lo, self.k_hi = k_lo, k_hi
-        self.graphs = {k: stream.graph_at(grid.time(k))
-                       for k in range(k_lo, k_hi + 1)}
+        # the snapshot changes only at an event time and just after it; the
+        # two ends are resolved too, which checks them against the window
+        resolve = {k_lo, k_hi}
+        for e in map(grid.index, stream.event_times()):
+            resolve.update((e, e + 1))
+        self.graphs = {}
+        for k in range(k_lo, k_hi + 1):
+            if k in resolve:
+                g = stream.graph_at(grid.time(k))
+            self.graphs[k] = g
         self.live = {k: _has_edges(g) for k, g in self.graphs.items()}
         # a node set closed under the snapshot at k - 1 can only grow at k
         # when the snapshot changes there and has edges
         self.changes = [k for k in range(k_lo + 1, k_hi + 1)
                         if self.live[k]
                         and self.graphs[k] is not self.graphs[k - 1]]
-        self.maxlen = len(stream.nodes) - 1
-        self._walks = {}
+        self._searched = {}
 
-    def walks(self, k):
-        """_walk_counts of the snapshot at k, built once per snapshot."""
+    def cross(self, k, avail):
+        """`avail` (node -> (length, count) of the shortest paths so far)
+        extended by the paths that go on over one or more links at grid
+        index k, each leg a shortest path of the snapshot at k.  A new map;
+        `avail` itself when the snapshot has no links."""
+        if not self.live[k]:
+            return avail
         g = self.graphs[k]
-        got = self._walks.get(g)
-        if got is None:
-            got = self._walks[g] = _walk_counts(g, self.maxlen)
-        return got
+        out = dict(avail)
+        for x, (lx, cx) in avail.items():
+            got = self._searched.get((g, x))
+            if got is None:
+                got = self._searched[(g, x)] = _static_dist_counts(g, x)
+            dist, count = got
+            for y, dy in dist.items():
+                if dy:
+                    _keep_shortest(out, y, lx + dy, cx * count[y])
+        return out
 
 
 def _reach_scan(table, u, ks):
@@ -187,23 +187,8 @@ def grid_count_shortest(stream, src, dst, grid):
         return (None, 0)
     table = _GridTable(stream, grid, k0, k1)
     avail = {src.node: (0, 1)}
-    bfs = {}  # (snapshot, node) -> _static_dist_counts, for this call
     for k in range(k0, k1 + 1):
-        if not table.live[k]:
-            continue
-        g = table.graphs[k]
-        cand = {}
-        for x, (lx, cx) in avail.items():
-            got = bfs.get((g, x))
-            if got is None:
-                got = bfs[(g, x)] = _static_dist_counts(g, x)
-            dist, count = got
-            for y, dy in dist.items():
-                if dy == 0:
-                    continue
-                _keep_shortest(cand, y, lx + dy, cx * count[y])
-        for y, (ly, cy) in cand.items():
-            _keep_shortest(avail, y, ly, cy)
+        avail = table.cross(k, avail)
     return avail.get(dst.node, (None, 0))
 
 
@@ -245,57 +230,41 @@ def grid_fastest(stream, src, dst_node, grid, arrive_by=None):
 # -- contribution -------------------------------------------------------------
 
 
-def _walk_sweep(table, start, k_from, k_to, keep):
-    """Walk counts from `start` over the grid indices k_from, ..., k_to, in
-    that order: a walk crosses one or more links at each index it uses, and
-    its first crossing is at k_from.  Returns (last, kept): last[y][r] counts
-    the walks of length r to y whose last crossing is at k_to, and kept[k]
-    copies the running counts, node -> counts by length, after index k, for
-    each k in keep.
+def _shortest_sweep(table, start, k_from, k_to):
+    """The paths from `start` over the grid indices k_from, ..., k_to, in
+    that order, whose first crossing is at k_from (a path crosses one or
+    more links at each index it uses): maps[k] maps each node they reach by
+    index k to the (length, count) of its shortest paths.  Snapshots are
+    undirected, so the sweep from w with k_from > k_to counts the paths
+    that end at w, each read from its far end.
 
-    Walk counts of an undirected snapshot are symmetric (walks[r][x][y] ==
-    walks[r][y][x]), so the sweep from w with k_from > k_to counts the walks
-    that end at w, each read from its far end: the backward half of a pair
-    is the forward half started at w."""
-    maxlen = table.maxlen
+    A walk of minimal length follows a shortest path inside each snapshot
+    it crosses, and its prefixes and suffixes are minimal too, so these are
+    the counts of minimal-length walks, but for walks that leave `start`
+    again after k_from.  From u, such a walk holds a later start that
+    arrives no later, and _grid_contributions skips every start slower than
+    one above it; back from w, it would reach w before the earliest
+    arrival."""
     step = 1 if k_to >= k_from else -1
-    frontier = {start: [1] + [0] * maxlen}  # the empty walk, at k_from only
-    avail = {}
-    kept = {}
+    avail = {start: (0, 1)}
+    maps = {}
     for k in range(k_from, k_to + step, step):
-        walks = table.walks(k)
-        new = {}
-        for x, lens in (frontier if k == k_from else avail).items():
-            for r in range(1, maxlen + 1):
-                row = walks[r].get(x)
-                if not row:
-                    continue
-                for lam in range(maxlen + 1 - r):
-                    cx = lens[lam]
-                    if cx:
-                        for y, c in row.items():
-                            acc = new.setdefault(y, [0] * (maxlen + 1))
-                            acc[lam + r] += cx * c
-        for y, lens in new.items():
-            avail[y] = list(map(add, avail[y], lens)) if y in avail else lens
-        if k in keep:
-            kept[k] = {x: list(lens) for x, lens in avail.items()}
-    return new, kept
+        avail = maps[k] = table.cross(k, avail)
+        if k == k_from:
+            del avail[start]  # the first crossing is at k_from, not later
+    return maps
 
 
 def _pair_counts(table, u, w, ks, ka, tv_idx):
     """(minimal length, count of minimal-length paths, counts through each
     temporal node of tv_idx) over the paths from u to w whose first
-    crossing is at ks and last crossing at ka; (None, 0, zeros) when there
-    are none."""
-    interior = {kt for kt, v in tv_idx if v not in (u, w) and ks <= kt <= ka}
-    last, fwd = _walk_sweep(table, u, ks, ka, interior)
-    arrived = last.get(w)
-    if not arrived:
-        return None, 0, (0,) * len(tv_idx)
-    length = next(lam for lam, c in enumerate(arrived) if c)
-    count = arrived[length]
-    bwd = _walk_sweep(table, w, ka, ks, interior)[1] if interior else {}
+    crossing is at ks and last crossing at ka, the earliest arrival from
+    ks.  Only asked for a start that no later one beats (see
+    _shortest_sweep), so such paths exist."""
+    interior = any(v not in (u, w) and ks <= kt <= ka for kt, v in tv_idx)
+    fwd = _shortest_sweep(table, u, ks, ka)
+    length, count = fwd[ka][w]  # w is first reached at ka: all paths end there
+    bwd = _shortest_sweep(table, w, ka, ks) if interior else {}
     through = []
     for kt, v in tv_idx:
         if v in (u, w):
@@ -303,8 +272,8 @@ def _pair_counts(table, u, w, ks, ka, tv_idx):
             continue
         f = fwd.get(kt, {}).get(v)
         b = bwd.get(kt, {}).get(v)
-        through.append(sum(f[lam] * b[length - lam]
-                           for lam in range(1, length)) if f and b else 0)
+        through.append(f[1] * b[1] if f and b and f[0] + b[0] == length
+                       else 0)
     return length, count, tuple(through)
 
 
@@ -356,11 +325,9 @@ def _grid_contributions(table, u, w, arrivals, tv_idx):
             tab_length, tab_count, tab_through = pair(ki)
             if dur is None or g < dur:
                 dur = g
-            elif tab_length is None or (
-                length is not None and tab_length > length
-            ):
+            elif tab_length > length:
                 continue
-            elif length is not None and tab_length == length:
+            elif tab_length == length:
                 tab_count += count
                 tab_through = tuple(map(add, through, tab_through))
             if count:
@@ -382,6 +349,8 @@ def grid_contribution(stream, u, w, tv, grid, window=None):
             raise GridError("unknown node %r" % node)
     lo, hi = (stream.alpha, stream.omega) if window is None else window
     table = _GridTable(stream, grid, grid.index(lo), grid.index(hi), 1)
+    if u == w:
+        return Fraction(0)
     scans = {ks: _reach_scan(table, u, ks)
              for ks in range(table.k_lo, table.k_hi + 1)}
     arrivals = {ks: scan[w] for ks, scan in scans.items() if w in scan}

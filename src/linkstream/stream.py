@@ -222,10 +222,14 @@ class LinkStream:
             )
         return self.graph_at((t + t2) / Q(2))
 
+    def check_nodes(self, *nodes):
+        for v in nodes:
+            if v not in self.nodes:
+                raise StreamError("unknown node %r" % v)
+
     def check_temporal_node(self, tn):
         self._check_time(tn.time)
-        if tn.node not in self.nodes:
-            raise StreamError("unknown node %r" % tn.node)
+        self.check_nodes(tn.node)
 
     # -- integer time lattice ----------------------------------------------
 

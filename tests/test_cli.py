@@ -13,6 +13,14 @@ FALSE_REJECTS = [
 ]
 
 
+@pytest.fixture
+def sevenths_path(tmp_path):
+    """A stream whose times are not finite decimals."""
+    path = tmp_path / "sevenths.ls"
+    path.write_text("0 1/3\na b 1/7 2/7\nb c 2/7 1/3\n", encoding="utf-8")
+    return str(path)
+
+
 def invoke(capsys, *argv):
     code = run(list(argv))
     out, err = capsys.readouterr()
@@ -72,6 +80,15 @@ class TestLatencies:
         assert code == 1 and out == ""
         assert err.startswith("error:")
 
+    def test_decimal(self, capsys, sevenths_path):
+        code, out, _ = invoke(
+            capsys, "latencies", "--stream", sevenths_path, "--source", "a",
+            "--decimal", "3",
+        )
+        assert code == 0
+        assert out.splitlines()[0] == \
+            "a: (0.143,0.143) (0.286,0.286) (0.333,0.333)"
+
 
 class TestContrib:
     def test_golden(self, capsys, demo_path):
@@ -89,6 +106,16 @@ class TestContrib:
         )
         assert code == 0
         assert out.splitlines() == ["anchor none", "contribution 0"]
+
+    def test_decimal(self, capsys, sevenths_path):
+        code, out, _ = invoke(
+            capsys, "contrib", "--stream", sevenths_path,
+            "--source", "a", "--dest", "c", "--at", "2/7", "b",
+            "--decimal", "3",
+        )
+        assert code == 0
+        assert out.splitlines() == ["anchor (0.286,0.286)",
+                                    "contribution 0.014"]
 
     def test_unknown_dest(self, capsys, demo_path):
         code, _, err = invoke(

@@ -161,6 +161,18 @@ class TestContribution:
         with pytest.raises(StreamError):
             contribution(demo, "a", "e", tn(40, "c"), ll_ae)
 
+    @pytest.mark.parametrize("u,w,tv", [
+        ("a", "e", tn(40, "c")),
+        ("a", "e", tn("9/2", "zz")),
+        ("a", "zz", tn("9/2", "c")),
+        ("zz", "e", tn("9/2", "c")),
+    ])
+    def test_bad_input_rejected(self, demo, ll_ae, u, w, tv):
+        with pytest.raises(StreamError):
+            contribution(demo, u, w, tv, ll_ae)
+        with pytest.raises(StreamError):
+            cell_ratio(demo, u, w, tv, ll_ae, Q(0), Q(32))
+
     def test_anchor_is_unique(self, demo):
         # no second latency pair may satisfy the involvement conditions
         for u in demo.nodes:

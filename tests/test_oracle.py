@@ -12,12 +12,14 @@ from linkstream import (
     LinkStream,
     Q,
     TemporalNode,
+    Volume,
     betweenness,
     grid_betweenness,
     grid_contribution,
     grid_count_shortest,
     grid_fastest,
     parse_stream,
+    vsp,
 )
 
 from conftest import random_stream, reversed_stream, seeded
@@ -131,6 +133,19 @@ class TestCountShortest:
         assert got == (3, 5742)
         assert len(calls) == len(set(calls)) == 166
 
+    def test_snapshot_ties(self):
+        # two shortest paths a-b-d and a-c-d inside the one snapshot at 1
+        stream = parse_stream("0 2\na b 1 1\na c 1 1\nb d 1 1\nc d 1 1\n")
+        src, dst = tn(0, "a"), tn(2, "d")
+        res = vsp(stream, src, dst)
+        assert (res.distance, res.volume) == (2, Volume(Q(2), 0))
+        for denom in (1, 2, 4):
+            got = grid_count_shortest(stream, src, dst,
+                                      GridSpec(Fraction(1, denom)))
+            assert got == (2, 2)
+        got = grid_betweenness(stream, [tn(1, "b")], GridSpec(Fraction(1, 4)))
+        assert got == [Fraction(175, 16)]
+
 
 class TestFastest:
     def test_demo_duration(self, demo):
@@ -165,6 +180,12 @@ class TestContribution:
             )
         rich = richardson(est[8], est[16])
         assert abs(rich - exact) <= exact * Fraction(3, 100)
+
+    def test_same_node_is_zero(self, demo):
+        # as the exact contribution of (c, c): a loop back to c is no path
+        for tv in [tn(10, "b"), tn(11, "c"), tn(9, "a")]:
+            assert grid_contribution(demo, "c", "c", tv,
+                                     GridSpec(Fraction(1, 2))) == 0
 
     @pytest.mark.parametrize("u,w", [("z", "e"), ("a", "zz")])
     def test_unknown_node(self, demo, u, w):
