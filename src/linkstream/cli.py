@@ -11,7 +11,7 @@ from math import lcm
 
 from .betweenness import betweenness, profile
 from .contribution import contribution
-from .latencies import cached_latency_lists, latency_lists
+from .latencies import latency_lists
 from .numbers import format_decimal, parse_time
 from .oracle import (
     GridError,
@@ -143,7 +143,7 @@ def _cmd_latencies(args):
 def _cmd_contrib(args):
     stream = _load(args.stream)
     tv = _temporal_node(stream, args.at)
-    lists = cached_latency_lists(stream, args.source)
+    lists = latency_lists(stream, args.source)
     stream.check_nodes(args.dest)
     res = contribution(stream, args.source, args.dest, tv, lists[args.dest])
     if res.anchor is None:

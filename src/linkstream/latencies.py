@@ -3,10 +3,12 @@
 A latency pair (s, a) from u to w means the fastest paths from (s, u) to
 (a, w) start exactly at s and arrive exactly at a.  Non-instantaneous pairs
 have event-time coordinates; the lists record instantaneous pairs at event
-times only (the continuum between event times is implied).
+times only (the continuum between event times is implied).  One scan over
+the event times and their components builds the lists of every source.
 """
 
 from bisect import bisect_left, bisect_right
+from operator import lt
 from typing import NamedTuple
 
 from .numbers import Q
@@ -26,17 +28,17 @@ class LatencyList:
 
     __slots__ = ("starts", "arrivals")
 
-    def __init__(self, pairs):
-        pairs = list(pairs)
-        self.starts = [s for s, _ in pairs]
-        self.arrivals = [a for _, a in pairs]
-        starts, arrivals = self.starts, self.arrivals
-        for s, s2, a, a2 in zip(starts, starts[1:], arrivals, arrivals[1:]):
-            if not (s < s2 and a < a2):
-                raise ValueError(
-                    "latency pairs not componentwise increasing: "
-                    "(%s,%s) then (%s,%s)" % (s, a, s2, a2)
-                )
+    def __init__(self, pairs=(), starts=None, arrivals=None):
+        """From latency pairs, or from the plain lists of their starts and
+        of their arrivals, which the list then holds as they are."""
+        if starts is None:
+            pairs = list(pairs)
+            starts, arrivals = [s for s, _ in pairs], [a for _, a in pairs]
+        if not (all(map(lt, starts, starts[1:]))
+                and all(map(lt, arrivals, arrivals[1:]))):
+            raise ValueError("latency pairs not componentwise increasing: %s"
+                             % list(map(LatencyPair, starts, arrivals)))
+        self.starts, self.arrivals = starts, arrivals
 
     def __iter__(self):
         return map(LatencyPair, self.starts, self.arrivals)
@@ -45,7 +47,9 @@ class LatencyList:
         return len(self.starts)
 
     def __getitem__(self, k):
-        return list(self)[k]
+        if isinstance(k, slice):
+            return list(map(LatencyPair, self.starts[k], self.arrivals[k]))
+        return LatencyPair(self.starts[k], self.arrivals[k])
 
     def __eq__(self, other):
         return (isinstance(other, LatencyList) and self.starts == other.starts
@@ -56,44 +60,65 @@ class LatencyList:
 
 
 def latency_lists(stream, u):
-    """All latency lists from node u, one per node of the stream.
-
-    Scans event times in increasing order; at each time, every connected
-    component reachable from u extends the lists of its members that are not
-    already reachable from the latest feasible start.  A one-node component
-    has no such member, so it is skipped.
-    """
+    """All latency lists from node u, one per node: `_scan` for u alone."""
     stream.check_nodes(u)
-    ll = {w: [] for w in stream.nodes}
-    for i, t in enumerate(stream.event_times()):
-        ll[u].append((t, t))
-        for comp in stream.components(2 * i + 1):
-            if len(comp) == 1:
-                continue
-            s = None
-            maximizers = set()
-            for w in comp:
-                if not ll[w]:
-                    continue
-                s2, _ = ll[w][-1]
-                if s is None or s2 > s:
-                    s = s2
-                    maximizers = {w}
-                elif s2 == s:
-                    maximizers.add(w)
-            if maximizers:
-                for w in comp - maximizers:
-                    ll[w].append((s, t))
-    return {w: LatencyList(pairs) for w, pairs in ll.items()}
+    return _scan(stream, {u})[u]
 
 
 def cached_latency_lists(stream, u):
-    """latency_lists(stream, u), cached on the stream."""
-    lists = stream._latency_lists.get(u)
-    if lists is None:
-        lists = latency_lists(stream, u)
-        stream._latency_lists[u] = lists
-    return lists
+    """latency_lists(stream, u), cached on the stream.  The first miss
+    fills it for every node in one scan: `betweenness` and `reaches` ask
+    for every source anyway."""
+    if u not in stream._latency_lists:
+        stream.check_nodes(u)
+        stream._latency_lists = _scan(stream, set(stream.nodes))
+    return stream._latency_lists[u]
+
+
+def _scan(stream, sources):
+    """source -> node -> LatencyList for each source in the set `sources`,
+    in one scan of the event times.  latest[w] maps each source u other
+    than w to the index of the latest event time from which u reaches w so
+    far.  Each multi-node component at event time i merges the maps of its
+    members: a member behind the maximum m for a source gets the pair
+    (m, t), and m = i for a source inside.  The members then share the
+    merged map, a new dict never changed.  Members that still share a map
+    are merged as one: nothing has reached them since they were equalized
+    (a node is in one component at a time), so only the sources inside
+    move, each to (t, t).  That covers a component unchanged since the
+    previous event time."""
+    ev = stream._event_times
+    latest = dict.fromkeys(stream.nodes, {})
+    # node -> source -> the starts, and the arrivals, of its pairs so far
+    starts = {w: {u: [] for u in sources} for w in stream.nodes}
+    arrivals = {w: {u: [] for u in sources} for w in stream.nodes}
+    for i, t in enumerate(ev):
+        for comp in stream.components(2 * i + 1):
+            if len(comp) == 1:
+                continue
+            groups = {}  # id of a map -> (the map, the members that hold it)
+            for w in comp:
+                groups.setdefault(id(latest[w]), (latest[w], []))[1].append(w)
+            maps = list(groups.values())
+            best = dict(maps[0][0])
+            for held, _ in maps[1:]:
+                for u, k in held.items() - best.items():
+                    if best.get(u, -1) < k:
+                        best[u] = k
+            best.update(dict.fromkeys(comp & sources, i))
+            for held, members in maps:
+                behind = best.items() - held.items()
+                for w in members:
+                    latest[w] = best
+                    sw, aw = starts[w], arrivals[w]
+                    for u, k in behind:
+                        if u != w:
+                            sw[u].append(ev[k])
+                            aw[u].append(t)
+    for u in sources:
+        starts[u][u], arrivals[u][u] = list(ev), list(ev)
+    return {u: {w: LatencyList((), starts[w][u], arrivals[w][u])
+                for w in stream.nodes} for u in sources}
 
 
 def reaches(stream, src, dst):

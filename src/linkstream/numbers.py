@@ -9,17 +9,22 @@ from fractions import Fraction
 
 Q = Fraction
 
-# optional sign, then decimal (12, 4.5, .5) or p/q
-_TIME_RE = re.compile(r"[+-]?(\d+(\.\d*)?|\.\d+|\d+/\d+)$")
+# optional sign, then p/q or decimal (12, 4.5, 12., .5)
+_TIME_RE = re.compile(r"([+-]?)(?:(\d+)/(\d+)|(\d+)(?:\.(\d*))?|\.(\d+))$")
 
 
 def parse_time(text):
     """Parse a time literal (decimal or p/q) into an exact rational."""
     text = text.strip()
-    if not _TIME_RE.match(text):
+    match = _TIME_RE.match(text)
+    if not match:
         raise ValueError("invalid time literal: %r" % text)
+    sign, num, den, whole, frac, bare = match.groups()
+    if den is None:  # the digits of the decimal over a power of ten
+        frac = frac or bare or ""
+        num, den = (whole or "") + frac, 10 ** len(frac)
     try:
-        return Q(text)
+        return Q(int(sign + num), int(den))
     except ZeroDivisionError:
         msg = "zero denominator in time literal: %r" % text
         raise ValueError(msg) from None

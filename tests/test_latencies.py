@@ -5,9 +5,11 @@ import pytest
 from linkstream import (
     GridSpec,
     LatencyList,
+    LatencyPair,
     Q,
     StreamError,
     TemporalNode,
+    cached_latency_lists,
     grid_fastest,
     latency,
     latency_lists,
@@ -16,11 +18,33 @@ from linkstream import (
     vsp,
 )
 
-from conftest import random_stream, seeded
+from conftest import random_stream, reversed_stream, seeded
 
 
 def pairs(lst):
     return [(s, a) for s, a in lst]
+
+
+def reference_lists(stream, u):
+    """Latency lists from u by their definition, from vsp reachability
+    alone.  Reachability from (x, u) to (y, w) can only grow as x falls or
+    y rises, and it is constant over each open gap, so a non-instantaneous
+    pair (s, a) of event times is a latency pair iff (s, a) is reachable and
+    neither (s+, a) nor (s, a-) is, where s+ and a- are the midpoints of the
+    gaps after s and before a.  An instantaneous pair is listed at each
+    event time t where (t, t) is reachable."""
+    ev = stream.event_times()
+    after = {s: (s + s2) / 2 for s, s2 in zip(ev, ev[1:])}
+    before = {a: (a1 + a) / 2 for a1, a in zip(ev, ev[1:])}
+
+    def reach(x, w, y):
+        return vsp(stream, TemporalNode(x, u),
+                   TemporalNode(y, w)).distance is not None
+
+    return {w: [(s, a) for a in ev for s in ev if s <= a and reach(s, w, a)
+                and (s == a or not (reach(after[s], w, a)
+                                    or reach(s, w, before[a])))]
+            for w in stream.nodes}
 
 
 class TestLatencyLists:
@@ -49,6 +73,45 @@ class TestLatencyLists:
     def test_unknown_source(self, demo):
         with pytest.raises(StreamError):
             latency_lists(demo, "z")
+
+    def test_getitem_matches_list(self, demo):
+        lst = latency_lists(demo, "b")["d"]
+        whole = list(lst)
+        n = len(whole)
+        for k in range(-n, n):
+            assert lst[k] == whole[k]
+            assert type(lst[k]) is LatencyPair
+        for k in (n, -n - 1):
+            with pytest.raises(IndexError):
+                lst[k]
+        for sl in (slice(None), slice(1, 3), slice(-2, None),
+                   slice(None, None, -1), slice(0, 10, 2), slice(4, 1)):
+            assert lst[sl] == whole[sl]
+
+    def test_component_kept_across_event_times(self):
+        # {a,b,c} at 2 and again at 4, {c,d} at 6 and again at 7
+        stream = parse_stream("0 10\na b 1 4\nb c 2 4\nc d 6 7\n")
+        lists = latency_lists(stream, "a")
+        assert pairs(lists["b"]) == [(1, 1), (2, 2), (4, 4)]
+        assert pairs(lists["c"]) == [(2, 2), (4, 4)]
+        assert pairs(lists["d"]) == [(4, 6)]
+        lists = latency_lists(stream, "d")
+        assert pairs(lists["c"]) == [(6, 6), (7, 7)]
+        assert pairs(lists["a"]) == []
+        for u in stream.nodes:
+            ref = reference_lists(stream, u)
+            assert {w: pairs(ll) for w, ll in
+                    cached_latency_lists(stream, u).items()} == ref
+
+    def test_component_reformed_after_a_split(self):
+        # {a,b} at 1, {b,c} at 2, {a,b} again at 3: c reaches a through b
+        stream = parse_stream("0 10\na b 1 1\nb c 2 2\na b 3 3\n")
+        assert pairs(latency_lists(stream, "c")["a"]) == [(2, 3)]
+        assert pairs(latency_lists(stream, "a")["c"]) == [(1, 2)]
+        for u in stream.nodes:
+            ref = reference_lists(stream, u)
+            assert {w: pairs(ll) for w, ll in
+                    cached_latency_lists(stream, u).items()} == ref
 
     def test_componentwise_increasing_enforced(self):
         with pytest.raises(ValueError):
@@ -116,6 +179,18 @@ class TestAgainstOracle:
                     assert est is None
                 else:
                     assert est == exact
+
+    def test_lists_match_their_definition(self):
+        rng = seeded(79)
+        for _ in range(20):
+            stream = random_stream(rng, max_nodes=7, max_segments=14,
+                                   horizon=30)
+            for st in (stream, reversed_stream(stream)):
+                for u in st.nodes:
+                    lists = latency_lists(st, u)
+                    got = {w: pairs(ll) for w, ll in lists.items()}
+                    assert got == reference_lists(st, u)
+                    assert cached_latency_lists(st, u) == lists
 
     def test_pairs_are_consistent_with_vsp(self):
         rng = seeded(78)

@@ -1,4 +1,7 @@
+from fractions import Fraction
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from linkstream import (
     IntervalSet,
@@ -26,6 +29,21 @@ class TestParseTime:
         assert parse_time("9/2") == Q(9, 2)
         assert parse_time("-0.25") == Q(-1, 4)
 
+    @pytest.mark.parametrize("text", [
+        "0", "12", "+12", "-12", "12.", "-12.", ".5", "+.5", "-.5", "4.50",
+        "-0.25", "007.0700", "0/5", "-3/6", "+9/2", "10/4", " 7/8 ",
+    ])
+    def test_equals_fraction_of_the_text(self, text):
+        value = parse_time(text)
+        assert type(value) is Fraction and value == Fraction(text)
+
+    @settings(max_examples=150, deadline=None, derandomize=True,
+              database=None)
+    @given(st.from_regex(r"[+-]?([0-9]{1,20}(\.[0-9]{0,20})?|\.[0-9]{1,20}"
+                         r"|[0-9]{1,20}/0{0,2}[1-9][0-9]{0,5})", fullmatch=True))
+    def test_equals_fraction_of_drawn_literals(self, text):
+        assert parse_time(text) == Fraction(text)
+
     def test_rejects_garbage(self):
         for bad in ["", "x", "1.2.3", "1/0x", "nan", "1e3"]:
             with pytest.raises(ValueError):
@@ -36,6 +54,18 @@ class TestParseTime:
             parse_time("1/0")
         with pytest.raises(StreamError, match="line 1"):
             parse_stream("0 1/0\na b 0 1\n")
+
+    @pytest.mark.parametrize("bad", [
+        "+", ".", "+.", "1/", "/2", "1./2", "1.5/2", "--1", "1e3", "1_000",
+    ])
+    def test_rejects_malformed(self, bad):
+        with pytest.raises(ValueError, match="invalid time literal"):
+            parse_time(bad)
+
+    @pytest.mark.parametrize("bad", ["3/0", "-2/00", "+0/0"])
+    def test_rejects_any_zero_denominator(self, bad):
+        with pytest.raises(ValueError, match="zero denominator"):
+            parse_time(bad)
 
 
 class TestFormatDecimal:
