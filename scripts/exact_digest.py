@@ -1,0 +1,125 @@
+"""Digest of exact outputs, to check that a change keeps every one of them.
+
+    python3 scripts/exact_digest.py [--src DIR]
+
+prints `<count> <sha256>` over the outputs of `betweenness` on seeded random
+streams (up to 7 nodes and 14 segments, with int, integral-Fraction and
+quarter times), queried at the window ends, the event times, the gap
+midpoints and the gap thirds; of `contribution` and `cell_ratio` on a
+subset of those streams; and of `profile(demo, 1000)`.  Each output is
+hashed with its query and the type of every number, so an int that turns
+into an equal Fraction changes the digest.
+
+DIR is the directory holding the `linkstream` package (default: `src/`
+next to this script).  The streams are built here, not read from the
+tree, so one copy of this script digests two trees: a change that keeps
+every exact output prints the same line on both.
+"""
+
+import argparse
+import hashlib
+import random
+import sys
+from fractions import Fraction
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+STREAMS = 240  # betweenness streams; every CONTRIB_EVERY-th also gets pairs
+CONTRIB_EVERY = 6
+TIME_KINDS = {
+    "int": lambda k: k,
+    "fraction": Fraction,
+    "quarter": lambda k: Fraction(k, 4),
+}
+
+
+def random_stream(ls, rng, kind):
+    """A stream on [0, horizon] whose times are made by TIME_KINDS[kind]
+    from random ints (quarters of the unit for "quarter")."""
+    time = TIME_KINDS[kind]
+    ticks = 4 if kind == "quarter" else 1
+    nodes = "abcdefg"[:rng.randint(2, 7)]
+    horizon = ticks * rng.randint(6, 24)
+    presence = {}
+    for _ in range(rng.randint(1, 14)):
+        pair = tuple(sorted(rng.sample(nodes, 2)))
+        b = rng.randint(0, horizon - 1)
+        e = rng.randint(b, min(horizon, b + rng.randint(0, 6 * ticks)))
+        presence.setdefault(pair, []).append((time(b), time(e)))
+    return ls.LinkStream(time(0), time(horizon), nodes, presence)
+
+
+def probe_times(stream):
+    """Window ends, event times, and the midpoint and thirds of every gap."""
+    bounds = sorted({stream.alpha, stream.omega, *stream.event_times()})
+    times = set(bounds)
+    for a, b in zip(bounds, bounds[1:]):
+        times.update((a + Fraction(b - a, 2), a + Fraction(b - a, 3),
+                      a + Fraction(2 * (b - a), 3)))
+    return sorted(times)
+
+
+def typed(value):
+    """repr of a value with the type of each number in it."""
+    if isinstance(value, tuple):
+        return "(%s)" % ",".join(map(typed, value))
+    if value is None:
+        return "None"
+    return "%s:%s" % (type(value).__name__, value)
+
+
+def outputs(ls):
+    """(query, output) lines, in a fixed order."""
+    rng = random.Random(2102)
+    kinds = list(TIME_KINDS)
+    for n in range(STREAMS):
+        stream = random_stream(ls, rng, kinds[n % len(kinds)])
+        times = probe_times(stream)
+        for t in times:
+            for v in stream.nodes:
+                tv = ls.TemporalNode(t, v)
+                yield ("B", n, typed(tuple(tv))), typed(ls.betweenness(stream, tv))
+        if n % CONTRIB_EVERY:
+            continue
+        for u in stream.nodes:
+            lists = ls.latency_lists(stream, u)
+            for w in stream.nodes:
+                for t in times[::3]:
+                    for v in stream.nodes:
+                        tv = ls.TemporalNode(t, v)
+                        query = (n, u, w, typed(tuple(tv)))
+                        res = ls.contribution(stream, u, w, tv, lists[w])
+                        anchor = res.anchor and tuple(res.anchor)
+                        yield ("C",) + query, typed((res.value, anchor))
+                        if anchor is None:
+                            continue
+                        s, a = anchor
+                        for i in (s, Fraction(stream.alpha + s, 2)):
+                            for j in (a, Fraction(a + stream.omega, 2)):
+                                ratio = ls.cell_ratio(stream, u, w, tv,
+                                                      lists[w], i, j)
+                                yield (("R",) + query + (typed((i, j)),),
+                                       typed(ratio))
+    demo = ls.parse_stream((ROOT / "tests" / "data" / "demo.ls").read_text())
+    for tv, value in ls.profile(demo, 1000).samples:
+        yield ("P", typed(tuple(tv))), typed(value)
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--src", default=str(ROOT / "src"), metavar="DIR",
+                        help="directory holding the linkstream package")
+    args = parser.parse_args(argv)
+    sys.path.insert(0, str(Path(args.src).resolve()))
+    import linkstream as ls
+
+    digest = hashlib.sha256()
+    count = 0
+    for query, output in outputs(ls):
+        digest.update(("%s %s\n" % (query, output)).encode())
+        count += 1
+    print(count, digest.hexdigest())
+
+
+if __name__ == "__main__":
+    main()

@@ -13,12 +13,7 @@ from .betweenness import betweenness, profile
 from .contribution import contribution
 from .latencies import latency_lists
 from .numbers import format_decimal, parse_time
-from .oracle import (
-    GridError,
-    GridSpec,
-    grid_betweenness,
-    grid_count_shortest,
-)
+from .oracle import GridSpec, grid_betweenness, grid_count_shortest
 from .shortest_volumes import vsp
 from .stream import StreamError, TemporalNode, parse_stream
 
@@ -208,10 +203,7 @@ def run(argv):
         return exc.code if exc.code is not None else 2
     try:
         return _COMMANDS[args.command](args)
-    except (StreamError, GridError, ValueError) as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (ValueError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
 

@@ -1,7 +1,9 @@
 """Contribution of a node pair (u, w) to the betweenness of a temporal node.
 
 At most one latency pair (s, a) from u to w carries shortest fastest paths
-through the queried temporal node.  Around that anchor, boundary scans
+through the queried temporal node (t, v).  Reaching is monotone at both ends,
+so that anchor is found by bisecting the latency lists u->v, v->w and u->w,
+with no search over candidate pairs.  Around the anchor, boundary scans
 (backward over starts, forward over arrivals) produce the cell grid on which
 the double time integral collapses to a finite sum of
 cell_area * (volume through the node / total volume) terms.
@@ -13,7 +15,7 @@ reversal, so each is written once, with a direction.
 from bisect import bisect_left, bisect_right
 from typing import NamedTuple, Optional
 
-from .latencies import LatencyPair, _reaches
+from .latencies import LatencyPair, cached_latency_lists
 from .numbers import Q
 from .shortest_volumes import _vsp, vsp
 from .stream import StreamError, TemporalNode
@@ -106,23 +108,30 @@ def _anchored(stream, u, w, tv, ll):
     volume of all of them, and its boundary lists; None when no shortest
     fastest path from u to w involves tv.
 
-    The anchor is the first pair (x, y) with x <= t <= y such that (x,u)
-    reaches tv and tv reaches (y,w); only its volumes need sweeps.  t is
-    located among the event times once, by its int bounds."""
+    The anchor is the first pair (x, y) of `ll` such that (x,u) reaches tv
+    and tv reaches (y,w).  Paths may wait, so reaching is monotone at both
+    ends: (x,u) reaches tv iff x <= x_max, the start of the last u->v pair
+    arriving by t, and tv reaches (y,w) iff y >= y_min, the arrival of the
+    first v->w pair starting at or after t.  No snapshot BFS is needed: x
+    and y are event times, and nodes connected at t, or on the open gap
+    holding t, are also connected at the event times that bound it, where
+    the lists hold an instantaneous pair (a node's list to itself holds
+    every event time).  x_max <= t <= y_min, and the pairs meeting both
+    bounds form one range, so the anchor is its first pair.  t is placed
+    among the event times by its int bounds, so every comparison is on
+    event times."""
     t, v = tv
     t_lo, t_hi = stream.int_bounds(t)
-    starts, arrivals = ll.starts, ll.arrivals
-    lo, hi = bisect_left(arrivals, t_hi), bisect_right(starts, t_lo)
-    if lo == hi:
+    to_v = cached_latency_lists(stream, u)[v]
+    from_v = cached_latency_lists(stream, v)[w]
+    i = bisect_right(to_v.arrivals, t_lo)
+    j = bisect_left(from_v.starts, t_hi)
+    if not i or j == len(from_v.starts):
         return None
-    t_slot = stream.slot(t)
-    for k in range(lo, hi):
-        x, y = starts[k], arrivals[k]
-        if (_reaches(stream, stream.slot(x), x, u, t_lo, v)
-                and _reaches(stream, t_slot, t_hi, v, y, w)):
-            break
-    else:
+    k = bisect_left(ll.arrivals, from_v.arrivals[j])
+    if k >= bisect_right(ll.starts, to_v.starts[i - 1]):
         return None
+    x, y = ll.starts[k], ll.arrivals[k]
     whole = _vsp(stream, x, u, y, w)
     before = _vsp(stream, x, u, t, v)
     after = _vsp(stream, t, v, y, w)

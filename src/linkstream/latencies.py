@@ -123,25 +123,18 @@ def _scan(stream, sources):
 
 def reaches(stream, src, dst):
     """True iff some path leads from src to dst, decided without a sweep:
-    the nodes are equal or connected at src.time, or the first latency pair
-    starting at or after src.time arrives by dst.time."""
+    the nodes are connected at src.time, or the first latency pair starting
+    at or after src.time arrives by dst.time.  Both times are placed among
+    the event times by their int bounds (`LinkStream.int_bounds`)."""
     x, u = src
     t, v = dst
     if x > t:
         return False
-    return _reaches(stream, stream.slot(x), stream.int_bounds(x)[1], u,
-                    stream.int_bounds(t)[0], v)
-
-
-def _reaches(stream, slot, after, u, by, v):
-    """reaches from (x, u) to (t, v) for x <= t, with x given by its slot
-    and its upper int bound `after`, and t by its lower int bound `by`
-    (`LinkStream.int_bounds`): every comparison is on event times."""
-    if u == v or v in stream.bfs(slot, u).dist:
+    if v in stream.bfs(stream.slot(x), u).dist:
         return True
     ll = cached_latency_lists(stream, u)[v]
-    k = bisect_left(ll.starts, after)
-    return k < len(ll.starts) and ll.arrivals[k] <= by
+    k = bisect_left(ll.starts, stream.int_bounds(x)[1])
+    return k < len(ll.starts) and ll.arrivals[k] <= stream.int_bounds(t)[0]
 
 
 def latency(stream, src, dst_node, arrive_by=None):
@@ -158,8 +151,6 @@ def latency(stream, src, dst_node, arrive_by=None):
     y = stream.omega if arrive_by is None else arrive_by
     if y < x:
         return None
-    if u == dst_node:
-        return Q(0)
     if dst_node in stream.bfs(stream.slot(x), u).dist:
         return Q(0)
     # starts and arrivals both increase, so the usable pairs form one range

@@ -16,6 +16,9 @@ from linkstream import (
     vsp,
 )
 
+from conftest import random_stream, seeded
+from test_shared_state import quarter_stream
+
 
 def tn(t, v):
     return TemporalNode(Q(t) if not isinstance(t, str) else Q(*map(int, t.split("/"))), v)
@@ -189,6 +192,40 @@ class TestContribution:
                             and reachable(demo, tv, TemporalNode(y, w))
                         ]
                         assert len(hits) <= 1
+
+    def test_anchor_matches_reach_definition(self):
+        # on int twins of random and quarter-lattice streams, at window ends,
+        # event times, gap midpoints and gap thirds (off the twin's lattice),
+        # the anchor is the first pair (x, y) with x <= t <= y such that the
+        # sweep finds (x,u) reaching tv and tv reaching (y,w)
+        rng = seeded(1106)
+        anchored = 0
+        for make in (random_stream, quarter_stream) * 15:
+            stream = make(rng).lattice()[0]
+            bounds = [stream.alpha, *stream.event_times(), stream.omega]
+            times = set(bounds)
+            for a, b in zip(bounds, bounds[1:]):
+                times.update(a + Q(k * (b - a), d) for k, d in ((1, 2), (1, 3), (2, 3)))
+            for u in stream.nodes:
+                lists = latency_lists(stream, u)
+                for w in stream.nodes:
+                    for t in sorted(times):
+                        for v in stream.nodes:
+                            tv = TemporalNode(t, v)
+                            hits = [
+                                (x, y)
+                                for x, y in lists[w]
+                                if x <= t <= y
+                                and reachable(stream, TemporalNode(x, u), tv)
+                                and reachable(stream, tv, TemporalNode(y, w))
+                            ]
+                            anchor = contribution(stream, u, w, tv, lists[w]).anchor
+                            if anchor is None:
+                                continue
+                            assert hits and anchor == hits[0], (
+                                stream.serialize(), u, w, tv)
+                            anchored += 1
+        assert anchored > 1500
 
     def test_support_bound(self, demo, ll_ae):
         # accumulated cells tile ]S,s] x [a,A[ for the anchor of (10,c)
