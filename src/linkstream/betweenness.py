@@ -84,10 +84,10 @@ def profile(stream, samples_per_node, threads=1):
     for v in twin.nodes:
         values = {}
         for k, ts in by_slot.items():
-            if k & 1:
-                values.update(zip(ts, _direct(twin, v, ts)))
-            else:
+            if twin.gap(ts[0], True) == k:
                 values.update(zip(ts, _gap_values(twin, k, v, ts)))
+            else:
+                values.update(zip(ts, _direct(twin, v, ts)))
         samples.extend((TemporalNode(t, v), values[ticks[t]] / norm)
                        for t in times)
     return BetweennessProfile(samples)

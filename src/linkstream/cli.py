@@ -7,7 +7,6 @@ Subcommands: volumes, latencies, contrib, betweenness, profile.  Exit codes:
 import argparse
 import sys
 from fractions import Fraction
-from math import lcm
 
 from .betweenness import betweenness, profile
 from .contribution import contribution
@@ -95,10 +94,7 @@ def _fmt(value, args):
 
 def _verify_steps(stream, *times):
     """Two grid steps refining the event/query-time lattice 8- and 16-fold."""
-    denom = 1
-    for t in [stream.alpha, stream.omega, *stream.event_times(), *times]:
-        denom = lcm(denom, Fraction(t).denominator)
-    base = Fraction(1, denom)
+    base = Fraction(1, stream.scale(times))
     return GridSpec(base / 8), GridSpec(base / 16)
 
 

@@ -38,11 +38,8 @@ def _gap_dist(stream, t, u, w, forward):
     """Distance from u to w in the constant graph on the open gap after t
     (forward) or before t; None when t is the window end on that side (no
     gap) or w is unreachable there."""
-    end, step = (stream.omega, 1) if forward else (stream.alpha, -1)
-    if t == end:
-        return None
-    k = stream.slot(t)
-    return stream.bfs(k + step * (k & 1), u).dist.get(w)
+    k = stream.gap(t, forward)
+    return None if k is None else stream.bfs(k, u).dist.get(w)
 
 
 def _scan(stream, u, w, s, a, ll, forward, d_anchor):

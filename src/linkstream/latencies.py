@@ -67,8 +67,8 @@ def latency_lists(stream, u):
 
 def cached_latency_lists(stream, u):
     """latency_lists(stream, u), cached on the stream.  The first miss
-    fills it for every node in one scan: `betweenness` and `reaches` ask
-    for every source anyway."""
+    fills it for every node in one scan: `betweenness` asks for every
+    source anyway."""
     if u not in stream._latency_lists:
         stream.check_nodes(u)
         stream._latency_lists = _scan(stream, set(stream.nodes))
@@ -93,7 +93,7 @@ def _scan(stream, sources):
     starts = {w: {u: [] for u in sources} for w in stream.nodes}
     arrivals = {w: {u: [] for u in sources} for w in stream.nodes}
     for i, t in enumerate(ev):
-        for comp in stream.components(2 * i + 1):
+        for comp in stream.components(stream.slot(t)):
             if len(comp) == 1:
                 continue
             groups = {}  # id of a map -> (the map, the members that hold it)
@@ -119,22 +119,6 @@ def _scan(stream, sources):
         starts[u][u], arrivals[u][u] = list(ev), list(ev)
     return {u: {w: LatencyList((), starts[w][u], arrivals[w][u])
                 for w in stream.nodes} for u in sources}
-
-
-def reaches(stream, src, dst):
-    """True iff some path leads from src to dst, decided without a sweep:
-    the nodes are connected at src.time, or the first latency pair starting
-    at or after src.time arrives by dst.time.  Both times are placed among
-    the event times by their int bounds (`LinkStream.int_bounds`)."""
-    x, u = src
-    t, v = dst
-    if x > t:
-        return False
-    if v in stream.bfs(stream.slot(x), u).dist:
-        return True
-    ll = cached_latency_lists(stream, u)[v]
-    k = bisect_left(ll.starts, stream.int_bounds(x)[1])
-    return k < len(ll.starts) and ll.arrivals[k] <= stream.int_bounds(t)[0]
 
 
 def latency(stream, src, dst_node, arrive_by=None):

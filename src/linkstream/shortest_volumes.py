@@ -102,12 +102,8 @@ class SweepTables:
         events = stream._event_times
         first = bisect_right(events, stream.int_bounds(i)[0])
         self.times = [i] + events[first:]
-        # (gap slot, arrival slot) of each step: event k sits in slot 2k+1
-        # behind the gap 2k; omega past the last event sits in that gap
-        self._steps = [(2 * k, 2 * k + 1) for k in range(first, len(events))]
         if self.times[-1] < stream.omega:
             self.times.append(stream.omega)
-            self._steps.append((2 * len(events), 2 * len(events)))
         init = stream.bfs(stream.slot(i), u)
         dist = dict(init.dist)
         self.states = [(dist, {w: Volume(init.count[w], 0) for w in dist})]
@@ -120,12 +116,11 @@ class SweepTables:
 
     def _state(self, k):
         """(dist, vol) maps at times[k], running the sweep up to it."""
-        states, times = self.states, self.times
+        stream, states, times = self.stream, self.states, self.times
         while len(states) <= k:
-            n = len(states)
-            gap, nxt = self._steps[n - 1]
-            states.append(_advance(self.stream, gap, nxt,
-                                   times[n] - times[n - 1], *states[-1]))
+            t = times[len(states)]
+            states.append(_advance(stream, stream.gap(t, False), stream.slot(t),
+                                   t - times[len(states) - 1], *states[-1]))
         return states[k]
 
     def state_at(self, j):

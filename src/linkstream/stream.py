@@ -3,9 +3,16 @@
 A stream lives on a window [alpha, omega]; each unordered node pair carries a
 normalized set of maximal presence intervals.  Event times are the interval
 bounds; the instantaneous graph only changes there.
+
+The event times cut the window into slots, on each of which the graph is
+constant: with n event times, slot 2i+1 is event time i, slot 2i is the open
+gap before it, and slot 2n is the gap after the last one (with none, slot 0
+covers the window).  This module is the only one that knows this layout:
+other modules find slots with `LinkStream.slot` and `LinkStream.gap`, and
+read their graphs and tables by slot.
 """
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from math import lcm
 from typing import NamedTuple
 
@@ -127,15 +134,14 @@ class LinkStream:
         self._event_times = sorted(times)
         self._int_events = all(type(t) is int for t in self._event_times)
         # Tables that do not depend on a query's source, filled on first use
-        # and shared by every query.  Slot 2i+1 is event time i and slot 2i
-        # the open gap before it (slot 2n is the gap after the last of n
-        # event times; with none, slot 0 covers the window).
+        # and shared by every query.
         self._snapshots = None  # slot -> SnapshotGraph
         self._components = {}  # slot -> connected components
         self._bfs = {}  # (slot, node) -> BfsResult
         self._sweeps = {}  # (time, node) -> shortest_volumes.SweepTables
         self._latency_lists = {}  # node -> latencies.latency_lists result
-        self._lattice = None  # (twin, L) of lattice(); twin None for self
+        self._scale = None  # scale() without extra times
+        self._twin = None  # lattice() at _scale, unless the stream is its own
 
     # -- basic queries ----------------------------------------------------
 
@@ -147,6 +153,8 @@ class LinkStream:
         return list(self._event_times)
 
     def _check_time(self, t):
+        if not isinstance(t, (int, Q)):
+            raise TypeError("cannot convert %r to an exact rational" % (t,))
         if t < self.alpha or t > self.omega:
             raise StreamError("time %s outside [%s, %s]" % (t, self.alpha, self.omega))
 
@@ -167,11 +175,21 @@ class LinkStream:
 
     def slot(self, t):
         """Index of the slot holding time t: 2i+1 at event time i, 2i on the
-        open gap before it."""
+        open gap before it.  alpha and omega off the event times lie in the
+        first and the last gap."""
         ev = self._event_times
         lo, hi = self.int_bounds(t)
         i = bisect_left(ev, hi)
         return 2 * i + 1 if i < len(ev) and ev[i] == lo else 2 * i
+
+    def gap(self, t, forward):
+        """Slot of the open gap just after t (forward) or just before t: the
+        gap holding t when t is not an event time.  None at the window end
+        on that side, where no gap lies beyond t."""
+        if t == (self.omega if forward else self.alpha):
+            return None
+        k = self.slot(t)
+        return k + (k & 1) if forward else k - (k & 1)
 
     def snapshot(self, k):
         """The graph of slot k; all slots are built in one pass over the
@@ -210,18 +228,6 @@ class LinkStream:
             self._bfs[(k, w)] = res
         return res
 
-    def graph_between(self, t, t2):
-        """The constant graph on the open gap ]t, t2[ (no event time may lie
-        strictly inside)."""
-        if not t < t2:
-            raise StreamError("graph_between needs t < t2")
-        ev = self._event_times
-        if bisect_right(ev, t) != bisect_left(ev, t2):
-            raise StreamError(
-                "event time strictly inside ]%s, %s[" % (t, t2)
-            )
-        return self.graph_at((t + t2) / Q(2))
-
     def check_nodes(self, *nodes):
         for v in nodes:
             if v not in self.nodes:
@@ -233,23 +239,29 @@ class LinkStream:
 
     # -- integer time lattice ----------------------------------------------
 
+    def scale(self, times=()):
+        """L, the lcm of the denominators of alpha, omega, every interval
+        bound and `times`: every one of these times is a multiple of 1/L.
+        The stream's own L, without `times`, is computed once and kept."""
+        if self._scale is None:
+            bounds = (self.alpha, self.omega, *self._event_times)
+            self._scale = lcm(*(as_q(t).denominator for t in bounds))
+        return lcm(self._scale, *(as_q(t).denominator for t in times))
+
     def lattice(self, times=()):
-        """(twin, L): L is the lcm of the denominators of alpha, omega, every
-        interval bound and `times`, and twin is this stream with every time
-        multiplied by L, so all its times are ints.  The twin of the stream's
-        own L is built once and kept; the stream is its own twin when its
-        times are ints already.  A twin for a larger L (from `times`) is
-        built anew on each call."""
-        if self._lattice is None:
-            bounds = [self.alpha, self.omega, *self._event_times]
-            scale = lcm(*(as_q(t).denominator for t in bounds))
-            own = scale == 1 and all(isinstance(t, int) for t in bounds)
-            self._lattice = (None if own else self._scaled(scale), scale)
-        twin, scale = self._lattice
-        wide = lcm(scale, *(as_q(t).denominator for t in times))
-        if wide != scale:
-            return self._scaled(wide), wide
-        return twin or self, scale
+        """(twin, L): L is `scale(times)`, and twin is this stream with every
+        time multiplied by L, so all its times are ints.  The twin of the
+        stream's own L is built once and kept; the stream is its own twin
+        when its times are ints already.  A twin for a larger L (from
+        `times`) is built anew on each call."""
+        scale = self.scale(times)
+        if scale != self._scale:
+            return self._scaled(scale), scale
+        if self._int_events and type(self.alpha) is type(self.omega) is int:
+            return self, scale
+        if self._twin is None:
+            self._twin = self._scaled(scale)
+        return self._twin, scale
 
     def _scaled(self, scale):
         presence = {

@@ -2,6 +2,7 @@ import time
 
 import pytest
 
+from linkstream import cli
 from linkstream.cli import run
 
 # (stream, --at, exact betweenness) where `betweenness --verify` rejects the
@@ -173,6 +174,49 @@ class TestBetweenness:
             "--verify",
         )
         assert code == 0, err
+
+
+class TestVerifyRejectsWrongAnswers:
+    """A stream on which `--verify` accepts the exact answers, and rejects
+    them once the exact pipeline is made to report a wrong one."""
+
+    TEXT = "0 4\na b 1 2\nb c 2 3\n"
+    VOLUMES = ("volumes", "--from", "0", "a", "--to", "4", "c", "--verify")
+    BETWEENNESS = ("betweenness", "--at", "2", "c", "--verify")
+
+    @pytest.fixture
+    def path(self, tmp_path):
+        path = tmp_path / "path3.ls"
+        path.write_text(self.TEXT, encoding="utf-8")
+        return str(path)
+
+    def test_volumes(self, capsys, monkeypatch, path):
+        code, out, err = invoke(capsys, self.VOLUMES[0], "--stream", path,
+                                *self.VOLUMES[1:])
+        assert code == 0 and err == ""
+        assert out.splitlines() == ["1 2", "distance 2"]
+        exact = cli.vsp
+
+        def off_by_one(*args):
+            res = exact(*args)
+            return res._replace(distance=res.distance + 1)
+
+        monkeypatch.setattr(cli, "vsp", off_by_one)
+        code, out, err = invoke(capsys, self.VOLUMES[0], "--stream", path,
+                                *self.VOLUMES[1:])
+        assert code == 1 and out.splitlines()[1] == "distance 3"
+        assert err.startswith("verify: oracle length 2 != distance 3")
+
+    def test_betweenness(self, capsys, monkeypatch, path):
+        code, out, err = invoke(capsys, self.BETWEENNESS[0], "--stream", path,
+                                *self.BETWEENNESS[1:])
+        assert code == 0 and err == "" and out.strip() == "8"
+        exact = cli.betweenness
+        monkeypatch.setattr(cli, "betweenness", lambda *a: exact(*a) + 1)
+        code, out, err = invoke(capsys, self.BETWEENNESS[0], "--stream", path,
+                                *self.BETWEENNESS[1:])
+        assert code == 1 and out.strip() == "9"
+        assert err.startswith("verify: oracle estimate") and "far from 9" in err
 
 
 class TestProfile:

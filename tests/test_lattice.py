@@ -13,10 +13,14 @@ from linkstream import (
     TemporalNode,
     Volume,
     betweenness,
+    cell_ratio,
     cli,
     contribution,
+    latency,
     latency_lists,
+    next_list,
     parse_stream,
+    prev_list,
     profile,
     vsp,
 )
@@ -98,6 +102,21 @@ class TestLattice:
     def test_float_times_are_rejected(self, demo):
         with pytest.raises(TypeError, match="exact rational"):
             betweenness(demo, TemporalNode(4.5, "c"))
+        ll = latency_lists(demo, "a")["e"]
+        queries = [
+            lambda: vsp(demo, TemporalNode(1.5, "a"), TemporalNode(Q(14), "e")),
+            lambda: vsp(demo, TemporalNode(Q(1), "a"), TemporalNode(14.0, "e")),
+            lambda: contribution(demo, "a", "e", TemporalNode(4.5, "c"), ll),
+            lambda: cell_ratio(demo, "a", "e", TemporalNode(4.5, "c"), ll,
+                               Q(1), Q(14)),
+            lambda: latency(demo, TemporalNode(0.5, "a"), "e"),
+            lambda: prev_list(demo, "a", "e", 2.0, Q(9), ll),
+            lambda: next_list(demo, "a", "e", Q(2), 9.0, ll),
+            lambda: demo.graph_at(4.5),
+        ]
+        for query in queries:
+            with pytest.raises(TypeError, match="exact rational"):
+                query()
         with pytest.raises(TypeError, match="exact rational"):
             stream = LinkStream(0.0, 10.0, "ab", {("a", "b"): [(1.0, 5.0)]})
             betweenness(stream, TemporalNode(Q(2), "a"))

@@ -1,5 +1,5 @@
-"""Tables a stream shares across queries: the sweep-free reachability rule,
-query-order independence of betweenness, and release of queried streams."""
+"""Tables a stream shares across queries: query-order independence of
+betweenness, and release of queried streams."""
 
 import gc
 import weakref
@@ -10,9 +10,7 @@ from linkstream import (
     TemporalNode,
     betweenness,
     parse_stream,
-    reachable,
 )
-from linkstream.latencies import reaches
 
 from conftest import DEMO_TEXT, random_stream, seeded
 
@@ -36,42 +34,6 @@ def probe_times(stream):
     bounds = [stream.alpha, *stream.event_times(), stream.omega]
     mids = [(a + b) / 2 for a, b in zip(bounds, bounds[1:]) if a < b]
     return sorted(set(bounds + mids))
-
-
-def assert_reaches_matches_sweep(stream):
-    times = probe_times(stream)
-    checked = 0
-    for x in times:
-        for t in times:
-            if t < x:
-                continue
-            for u in stream.nodes:
-                for v in stream.nodes:
-                    src, dst = TemporalNode(x, u), TemporalNode(t, v)
-                    assert reaches(stream, src, dst) == reachable(stream, src, dst), (
-                        stream.serialize(), src, dst
-                    )
-                    checked += 1
-    return checked
-
-
-class TestReaches:
-    def test_matches_sweep_on_integer_streams(self):
-        rng = seeded(2102)
-        assert sum(
-            assert_reaches_matches_sweep(random_stream(rng)) for _ in range(15)
-        ) > 1000
-
-    def test_matches_sweep_on_quarter_streams(self):
-        rng = seeded(643)
-        assert sum(
-            assert_reaches_matches_sweep(quarter_stream(rng)) for _ in range(15)
-        ) > 1000
-
-    def test_never_backwards_in_time(self, demo):
-        src = TemporalNode(Q(10), "a")
-        for v in demo.nodes:
-            assert not reaches(demo, src, TemporalNode(Q(9), v))
 
 
 class TestSharedTables:

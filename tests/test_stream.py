@@ -15,7 +15,7 @@ from linkstream import (
     parse_time,
 )
 
-from conftest import DEMO_TEXT
+from conftest import DEMO_TEXT, random_stream, seeded
 
 
 def edge_set(graph):
@@ -184,19 +184,52 @@ class TestGraphAt:
             assert edge_set(g1) == edge_set(g2)
 
 
-class TestGraphBetween:
+class TestGap:
     def test_demo_gaps(self, demo):
-        assert edge_set(demo.graph_between(Q(3), Q(5))) == {("b", "c")}
-        assert edge_set(demo.graph_between(Q(7), Q(8))) == set()
-        assert edge_set(demo.graph_between(Q(27), Q(28))) == {
+        assert edge_set(demo.snapshot(demo.gap(Q(3), True))) == {("b", "c")}
+        assert edge_set(demo.snapshot(demo.gap(Q(8), False))) == set()
+        assert edge_set(demo.snapshot(demo.gap(Q(27), True))) == {
             ("b", "c"), ("c", "d")
         }
 
-    def test_rejects_interior_event_time(self, demo):
-        with pytest.raises(StreamError):
-            demo.graph_between(Q(3), Q(6))
-        with pytest.raises(StreamError):
-            demo.graph_between(Q(5), Q(5))
+    def test_gaps_around_an_event_time(self, demo):
+        for t in demo.event_times():
+            k = demo.slot(t)
+            assert demo.gap(t, True) == k + 1
+            assert demo.gap(t, False) == k - 1
+
+    def test_off_event_time_is_in_its_gap(self, demo):
+        for t in (Q(4), Q(9, 2), Q(1, 3), Q(63, 2)):
+            assert demo.gap(t, True) == demo.gap(t, False) == demo.slot(t)
+
+    def test_none_beyond_the_window(self, demo):
+        assert demo.gap(demo.alpha, False) is None
+        assert demo.gap(demo.omega, True) is None
+        assert demo.gap(demo.alpha, True) == 0
+        stream = LinkStream(Q(0), Q(5), "ab", {("a", "b"): [(Q(0), Q(5))]})
+        assert stream.gap(Q(0), False) is None
+        assert stream.gap(Q(5), True) is None
+        assert stream.gap(Q(0), True) == stream.gap(Q(5), False) == 2
+
+    def test_agrees_with_slot_of_gap_midpoints(self):
+        rng = seeded(1212)
+        for _ in range(20):
+            stream = random_stream(rng)
+            bounds = sorted({stream.alpha, stream.omega, *stream.event_times()})
+            for t, t2 in zip(bounds, bounds[1:]):
+                k = stream.slot((t + t2) / 2)
+                assert stream.gap(t, True) == k == stream.gap(t2, False), (
+                    stream.serialize(), t, t2
+                )
+
+    def test_scale(self, demo):
+        assert demo.scale() == 1
+        assert demo.scale([Q(1, 3)]) == 3
+        assert demo.scale() == 1
+        quarters = LinkStream(Q(0), Q(10), "ab", {("a", "b"): [(Q(1, 4), Q(3, 2))]})
+        assert quarters.scale() == 4
+        assert quarters.scale([Q(1, 3), Q(5, 6)]) == 12
+        assert quarters.scale([Q(7), 2]) == 4
 
 
 class TestLinkStreamValidation:
