@@ -5,10 +5,13 @@
 prints `<count> <sha256>` over the outputs of `betweenness` on seeded random
 streams (up to 7 nodes and 14 segments, with int, integral-Fraction and
 quarter times), queried at the window ends, the event times, the gap
-midpoints and the gap thirds; of `contribution` and `cell_ratio` on a
-subset of those streams; and of `profile(demo, 1000)`.  Each output is
-hashed with its query and the type of every number, so an int that turns
-into an equal Fraction changes the digest.
+midpoints and the gap thirds; of `latency_lists` from every source, read
+after those queries (an int stream is its own twin, so these are the lists
+`betweenness` filled), and of `latency` from every node at every probe
+time to every node, on the same streams; of `contribution` and
+`cell_ratio` on a subset of them; and of `profile(demo, 1000)`.  Each
+output is hashed with its query and the type of every number, so an int
+that turns into an equal Fraction changes the digest.
 
 DIR is the directory holding the `linkstream` package (default: `src/`
 next to this script).  The streams are built here, not read from the
@@ -79,6 +82,16 @@ def outputs(ls):
             for v in stream.nodes:
                 tv = ls.TemporalNode(t, v)
                 yield ("B", n, typed(tuple(tv))), typed(ls.betweenness(stream, tv))
+        for u in stream.nodes:
+            lists = ls.latency_lists(stream, u)
+            for w in stream.nodes:
+                yield ("L", n, u, w), typed(tuple(lists[w]))
+        for t in times:
+            for u in stream.nodes:
+                src = ls.TemporalNode(t, u)
+                for w in stream.nodes:
+                    yield (("D", n, typed(tuple(src)), w),
+                           typed(ls.latency(stream, src, w)))
         if n % CONTRIB_EVERY:
             continue
         for u in stream.nodes:

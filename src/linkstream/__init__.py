@@ -18,7 +18,6 @@ from .contribution import (
 from .latencies import (
     LatencyList,
     LatencyPair,
-    cached_latency_lists,
     latency,
     latency_lists,
 )
@@ -77,7 +76,6 @@ __all__ = [
     "VspResult",
     "betweenness",
     "bfs_counts",
-    "cached_latency_lists",
     "cell_ratio",
     "connected_components",
     "contribution",

@@ -5,7 +5,7 @@ profile sampler evaluating betweenness on a regular time grid for all nodes.
 from typing import NamedTuple
 
 from .contribution import _contribution
-from .latencies import cached_latency_lists
+from .latencies import _lists
 from .numbers import Q, on_lattice
 from .stream import TemporalNode
 
@@ -24,9 +24,10 @@ def betweenness(stream, tv):
     stream.check_temporal_node(tv)
     twin, scale = stream.lattice()
     tv = TemporalNode(on_lattice(tv.time, scale), tv.node)
+    table = _lists(twin, twin.nodes)
     total = Q(0)
     for u in twin.nodes:
-        lists = cached_latency_lists(twin, u)
+        lists = table[u]
         for w in twin.nodes:
             value = _contribution(twin, u, w, tv, lists[w]).value
             if value:  # most pairs give 0: skip their Fraction additions
@@ -84,10 +85,7 @@ def profile(stream, samples_per_node, threads=1):
     for v in twin.nodes:
         values = {}
         for k, ts in by_slot.items():
-            if twin.gap(ts[0], True) == k:
-                values.update(zip(ts, _gap_values(twin, k, v, ts)))
-            else:
-                values.update(zip(ts, _direct(twin, v, ts)))
+            values.update(zip(ts, _gap_values(twin, k, v, ts)))
         samples.extend((TemporalNode(t, v), values[ticks[t]] / norm)
                        for t in times)
     return BetweennessProfile(samples)
@@ -98,13 +96,14 @@ def _direct(stream, v, ts):
 
 
 def _degree_bound(stream, k, v):
-    """Degree of B(., v) on the open gap of slot k is at most this."""
+    """Degree of B(., v) on the open gap of slot k is at most this (any
+    bound serves an event slot, which holds one sample)."""
     return 2 * max(stream.bfs(k, v).dist.values())
 
 
 def _gap_values(stream, k, v, ts):
-    """Exact betweenness of (t, v) for the ascending times ts, all inside the
-    open gap of slot k."""
+    """Exact betweenness of (t, v) for the ascending times ts, all in slot
+    k.  An event slot holds one time, which is evaluated directly."""
     degree = _degree_bound(stream, k, v)
     if len(ts) <= degree + 2:
         return _direct(stream, v, ts)

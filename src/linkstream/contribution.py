@@ -15,7 +15,7 @@ reversal, so each is written once, with a direction.
 from bisect import bisect_left, bisect_right
 from typing import NamedTuple, Optional
 
-from .latencies import LatencyPair, cached_latency_lists
+from .latencies import LatencyPair, _lists
 from .numbers import Q
 from .shortest_volumes import _vsp, vsp
 from .stream import StreamError, TemporalNode
@@ -116,11 +116,11 @@ def _anchored(stream, u, w, tv, ll):
     every event time).  x_max <= t <= y_min, and the pairs meeting both
     bounds form one range, so the anchor is its first pair.  t is placed
     among the event times by its int bounds, so every comparison is on
-    event times."""
+    event times.  The caller has filled the lists from u and from v."""
     t, v = tv
     t_lo, t_hi = stream.int_bounds(t)
-    to_v = cached_latency_lists(stream, u)[v]
-    from_v = cached_latency_lists(stream, v)[w]
+    to_v = stream._latency_lists[u][v]
+    from_v = stream._latency_lists[v][w]
     i = bisect_right(to_v.arrivals, t_lo)
     j = bisect_left(from_v.starts, t_hi)
     if not i or j == len(from_v.starts):
@@ -164,6 +164,7 @@ def cell_ratio(stream, u, w, tv, ll, i, j):
     """
     stream.check_nodes(u, w)
     stream.check_temporal_node(tv)
+    _lists(stream, (u, tv.node))
     found = _anchored(stream, u, w, tv, ll)
     if found is None:
         return Q(0)
@@ -180,11 +181,12 @@ def contribution(stream, u, w, tv, ll):
     the temporal node tv, with the anchor latency pair when non-zero."""
     stream.check_nodes(u, w)
     stream.check_temporal_node(tv)
+    _lists(stream, (u, tv.node))
     return _contribution(stream, u, w, tv, ll)
 
 
 def _contribution(stream, u, w, tv, ll):
-    """contribution, without validating its inputs."""
+    """contribution, without validating or filling the lists it reads."""
     found = _anchored(stream, u, w, tv, ll)
     if found is None:
         return _NO_CONTRIBUTION

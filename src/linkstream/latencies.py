@@ -4,7 +4,8 @@ A latency pair (s, a) from u to w means the fastest paths from (s, u) to
 (a, w) start exactly at s and arrive exactly at a.  Non-instantaneous pairs
 have event-time coordinates; the lists record instantaneous pairs at event
 times only (the continuum between event times is implied).  One scan over
-the event times and their components builds the lists of every source.
+the event times and their components builds the lists of a set of sources
+into the stream's table, filled only for the sources that queries read.
 """
 
 from bisect import bisect_left, bisect_right
@@ -24,16 +25,11 @@ class LatencyPair(NamedTuple):
 
 class LatencyList:
     """Componentwise strictly increasing list of latency pairs, held as the
-    plain lists of their starts and of their arrivals, for bisection."""
+    plain lists of their starts and of their arrivals, as given, to bisect."""
 
     __slots__ = ("starts", "arrivals")
 
-    def __init__(self, pairs=(), starts=None, arrivals=None):
-        """From latency pairs, or from the plain lists of their starts and
-        of their arrivals, which the list then holds as they are."""
-        if starts is None:
-            pairs = list(pairs)
-            starts, arrivals = [s for s, _ in pairs], [a for _, a in pairs]
+    def __init__(self, starts, arrivals):
         if not (all(map(lt, starts, starts[1:]))
                 and all(map(lt, arrivals, arrivals[1:]))):
             raise ValueError("latency pairs not componentwise increasing: %s"
@@ -60,19 +56,18 @@ class LatencyList:
 
 
 def latency_lists(stream, u):
-    """All latency lists from node u, one per node: `_scan` for u alone."""
+    """All latency lists from node u, by node: a shared mapping, read only."""
     stream.check_nodes(u)
-    return _scan(stream, {u})[u]
+    return _lists(stream, (u,))[u]
 
 
-def cached_latency_lists(stream, u):
-    """latency_lists(stream, u), cached on the stream.  The first miss
-    fills it for every node in one scan: `betweenness` asks for every
-    source anyway."""
-    if u not in stream._latency_lists:
-        stream.check_nodes(u)
-        stream._latency_lists = _scan(stream, set(stream.nodes))
-    return stream._latency_lists[u]
+def _lists(stream, sources):
+    """The stream's table, source -> node -> LatencyList, after one `_scan`
+    for the nodes of `sources` it lacks."""
+    missing = set(sources).difference(stream._latency_lists)
+    if missing:
+        stream._latency_lists.update(_scan(stream, missing))
+    return stream._latency_lists
 
 
 def _scan(stream, sources):
@@ -117,7 +112,7 @@ def _scan(stream, sources):
                             aw[u].append(t)
     for u in sources:
         starts[u][u], arrivals[u][u] = list(ev), list(ev)
-    return {u: {w: LatencyList((), starts[w][u], arrivals[w][u])
+    return {u: {w: LatencyList(starts[w][u], arrivals[w][u])
                 for w in stream.nodes} for u in sources}
 
 
@@ -133,11 +128,12 @@ def latency(stream, src, dst_node, arrive_by=None):
     stream.check_nodes(dst_node)
     x, u = src
     y = stream.omega if arrive_by is None else arrive_by
+    stream._check_time(y)
     if y < x:
         return None
     if dst_node in stream.bfs(stream.slot(x), u).dist:
         return Q(0)
     # starts and arrivals both increase, so the usable pairs form one range
-    ll = cached_latency_lists(stream, u)[dst_node]
+    ll = _lists(stream, (u,))[u][dst_node]
     usable = range(bisect_left(ll.starts, x), bisect_right(ll.arrivals, y))
     return min((ll.arrivals[k] - ll.starts[k] for k in usable), default=None)

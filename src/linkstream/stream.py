@@ -139,7 +139,7 @@ class LinkStream:
         self._components = {}  # slot -> connected components
         self._bfs = {}  # (slot, node) -> BfsResult
         self._sweeps = {}  # (time, node) -> shortest_volumes.SweepTables
-        self._latency_lists = {}  # node -> latencies.latency_lists result
+        self._latency_lists = {}  # source -> latencies.latency_lists result
         self._scale = None  # scale() without extra times
         self._twin = None  # lattice() at _scale, unless the stream is its own
 

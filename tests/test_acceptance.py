@@ -20,7 +20,6 @@ from linkstream import (
     V_ZERO,
     Volume,
     betweenness,
-    cached_latency_lists,
     cell_ratio,
     contribution,
     grid_betweenness,
@@ -190,7 +189,7 @@ def test_criterion_7_profile_runtime_and_zero_structure(demo):
     for tv, value in prof.samples[::97]:
         anchored = False
         for u in demo.nodes:
-            lists = cached_latency_lists(demo, u)
+            lists = latency_lists(demo, u)
             for w in demo.nodes:
                 if contribution(demo, u, w, tv, lists[w]).anchor is not None:
                     anchored = True

@@ -6,10 +6,13 @@ from linkstream import (
     GridSpec,
     LatencyList,
     LatencyPair,
+    LinkStream,
     Q,
     StreamError,
     TemporalNode,
-    cached_latency_lists,
+    betweenness,
+    cell_ratio,
+    contribution,
     grid_fastest,
     latency,
     latency_lists,
@@ -17,8 +20,11 @@ from linkstream import (
     reachable,
     vsp,
 )
+from linkstream import latencies
+from linkstream.latencies import _lists, _scan
 
-from conftest import random_stream, reversed_stream, seeded
+from conftest import DEMO_TEXT, random_stream, reversed_stream, seeded
+from test_shared_state import quarter_stream
 
 
 def pairs(lst):
@@ -98,24 +104,24 @@ class TestLatencyLists:
         lists = latency_lists(stream, "d")
         assert pairs(lists["c"]) == [(6, 6), (7, 7)]
         assert pairs(lists["a"]) == []
+        every = _scan(stream, set(stream.nodes))
         for u in stream.nodes:
-            ref = reference_lists(stream, u)
-            assert {w: pairs(ll) for w, ll in
-                    cached_latency_lists(stream, u).items()} == ref
+            assert ({w: pairs(ll) for w, ll in every[u].items()}
+                    == reference_lists(stream, u))
 
     def test_component_reformed_after_a_split(self):
         # {a,b} at 1, {b,c} at 2, {a,b} again at 3: c reaches a through b
         stream = parse_stream("0 10\na b 1 1\nb c 2 2\na b 3 3\n")
         assert pairs(latency_lists(stream, "c")["a"]) == [(2, 3)]
         assert pairs(latency_lists(stream, "a")["c"]) == [(1, 2)]
+        every = _scan(stream, set(stream.nodes))
         for u in stream.nodes:
-            ref = reference_lists(stream, u)
-            assert {w: pairs(ll) for w, ll in
-                    cached_latency_lists(stream, u).items()} == ref
+            assert ({w: pairs(ll) for w, ll in every[u].items()}
+                    == reference_lists(stream, u))
 
     def test_componentwise_increasing_enforced(self):
         with pytest.raises(ValueError):
-            LatencyList([(Q(1), Q(5)), (Q(2), Q(4))])
+            LatencyList([Q(1), Q(2)], [Q(5), Q(4)])
 
     def test_componentwise_increasing_on_demo(self, demo):
         for u in demo.nodes:
@@ -162,6 +168,64 @@ class TestLatencyQuery:
         assert latency(demo, TemporalNode(Q(0), "a"), "e", arrive_by=Q(16)) == 7
         assert latency(demo, TemporalNode(Q(10), "a"), "e", arrive_by=Q(25)) == 7
 
+    def test_arrive_by_outside_window(self, demo):
+        for y in (Q(100), Q(-1)):
+            with pytest.raises(StreamError, match="outside"):
+                latency(demo, TemporalNode(Q(0), "a"), "e", arrive_by=y)
+
+
+def fresh(stream):
+    """A copy of the stream with empty tables."""
+    return LinkStream(stream.alpha, stream.omega, stream.nodes,
+                      stream.presence)
+
+
+class TestTable:
+    """The stream's latency-list table holds the sources that queries read,
+    and its lists do not depend on the order they were filled in."""
+
+    def test_filled_for_the_sources_read(self, monkeypatch):
+        demo = parse_stream(DEMO_TEXT)
+        latency(demo, TemporalNode(Q(0), "a"), "e")
+        assert set(demo._latency_lists) == {"a"}
+        ll = latency_lists(parse_stream(DEMO_TEXT), "b")["e"]
+        contribution(demo, "b", "e", TemporalNode(Q(9, 2), "c"), ll)
+        assert set(demo._latency_lists) == {"a", "b", "c"}
+        demo = parse_stream(DEMO_TEXT)
+        cell_ratio(demo, "b", "e", TemporalNode(Q(9, 2), "c"), ll,
+                   Q(1), Q(14))
+        assert set(demo._latency_lists) == {"b", "c"}
+        scans = []
+
+        def counted(stream, sources):
+            scans.append(set(sources))
+            return _scan(stream, sources)
+
+        monkeypatch.setattr(latencies, "_scan", counted)
+        stream = LinkStream(0, 10, "abcd", {("a", "b"): [(1, 5)],
+                                            ("b", "c"): [(3, 8)]})
+        betweenness(stream, TemporalNode(Q(7, 2), "b"))
+        betweenness(stream, TemporalNode(4, "c"))
+        assert scans == [set(stream.nodes)]
+        assert set(stream._latency_lists) == set(stream.nodes)
+
+    def test_independent_of_fill_order(self):
+        rng = seeded(83)
+        for make in (random_stream, quarter_stream) * 10:
+            stream = make(rng)
+            nodes = list(stream.nodes)
+            whole = fresh(stream)
+            _lists(whole, nodes)
+            one_by_one = fresh(stream)
+            for u in rng.sample(nodes, len(nodes)):
+                latency_lists(one_by_one, u)
+            subsets = fresh(stream)
+            for _ in range(2):
+                _lists(subsets, rng.sample(nodes, rng.randint(1, len(nodes))))
+            _lists(subsets, nodes)
+            assert whole._latency_lists == one_by_one._latency_lists
+            assert whole._latency_lists == subsets._latency_lists
+
 
 class TestAgainstOracle:
     def test_latency_matches_grid_fastest(self):
@@ -186,11 +250,12 @@ class TestAgainstOracle:
             stream = random_stream(rng, max_nodes=7, max_segments=14,
                                    horizon=30)
             for st in (stream, reversed_stream(stream)):
+                every = _scan(st, set(st.nodes))
                 for u in st.nodes:
                     lists = latency_lists(st, u)
                     got = {w: pairs(ll) for w, ll in lists.items()}
                     assert got == reference_lists(st, u)
-                    assert cached_latency_lists(st, u) == lists
+                    assert every[u] == lists
 
     def test_pairs_are_consistent_with_vsp(self):
         rng = seeded(78)

@@ -110,6 +110,7 @@ class TestLattice:
             lambda: cell_ratio(demo, "a", "e", TemporalNode(4.5, "c"), ll,
                                Q(1), Q(14)),
             lambda: latency(demo, TemporalNode(0.5, "a"), "e"),
+            lambda: latency(demo, TemporalNode(Q(0), "a"), "e", arrive_by=20.5),
             lambda: prev_list(demo, "a", "e", 2.0, Q(9), ll),
             lambda: next_list(demo, "a", "e", Q(2), 9.0, ll),
             lambda: demo.graph_at(4.5),
