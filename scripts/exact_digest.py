@@ -8,10 +8,14 @@ quarter times), queried at the window ends, the event times, the gap
 midpoints and the gap thirds; of `latency_lists` from every source, read
 after those queries (an int stream is its own twin, so these are the lists
 `betweenness` filled), and of `latency` from every node at every probe
-time to every node, on the same streams; of `contribution` and
-`cell_ratio` on a subset of them; and of `profile(demo, 1000)`.  Each
-output is hashed with its query and the type of every number, so an int
-that turns into an equal Fraction changes the digest.
+time to every node, on the same streams; of `vsp` from every node at
+alpha, at the event times and at the gap midpoints to every later probe
+time and node, on every other stream (of all three time kinds), so that
+the sweep is checked directly and not only through `betweenness`; of
+`contribution` and `cell_ratio` on a subset of them; and of
+`profile(demo, 1000)`.  Each output is hashed with its query and the type
+of every number, so an int that turns into an equal Fraction changes the
+digest.
 
 DIR is the directory holding the `linkstream` package (default: `src/`
 next to this script).  The streams are built here, not read from the
@@ -23,12 +27,14 @@ import argparse
 import hashlib
 import random
 import sys
+from bisect import bisect_left
 from fractions import Fraction
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 STREAMS = 240  # betweenness streams; every CONTRIB_EVERY-th also gets pairs
 CONTRIB_EVERY = 6
+VSP_EVERY = 2  # every VSP_EVERY-th stream (all three time kinds) gets vsp
 TIME_KINDS = {
     "int": lambda k: k,
     "fraction": Fraction,
@@ -62,6 +68,26 @@ def probe_times(stream):
     return sorted(times)
 
 
+def sweep_sources(stream):
+    """alpha, the event times and the midpoint of every gap."""
+    bounds = sorted({stream.alpha, stream.omega, *stream.event_times()})
+    mids = {a + Fraction(b - a, 2) for a, b in zip(bounds, bounds[1:])}
+    return sorted({stream.alpha, *stream.event_times(), *mids})
+
+
+def vsp_outputs(ls, n, stream, times):
+    """(query, output) lines of `vsp` from every node at every sweep source
+    time to every node at every later time of `times`."""
+    for s in sweep_sources(stream):
+        for u in stream.nodes:
+            src = ls.TemporalNode(s, u)
+            for t in times[bisect_left(times, s):]:
+                for w in stream.nodes:
+                    dst = ls.TemporalNode(t, w)
+                    yield (("V", n, typed(tuple(src)), typed(tuple(dst))),
+                           typed(ls.vsp(stream, src, dst)))
+
+
 def typed(value):
     """repr of a value with the type of each number in it."""
     if isinstance(value, tuple):
@@ -92,6 +118,8 @@ def outputs(ls):
                 for w in stream.nodes:
                     yield (("D", n, typed(tuple(src)), w),
                            typed(ls.latency(stream, src, w)))
+        if n % VSP_EVERY == 0:
+            yield from vsp_outputs(ls, n, stream, times)
         if n % CONTRIB_EVERY:
             continue
         for u in stream.nodes:

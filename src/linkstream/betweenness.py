@@ -4,7 +4,7 @@ profile sampler evaluating betweenness on a regular time grid for all nodes.
 
 from typing import NamedTuple
 
-from .contribution import _contribution
+from .contribution import _anchor, _value, _x_max, _y_min
 from .latencies import _lists
 from .numbers import Q, on_lattice
 from .stream import TemporalNode
@@ -18,6 +18,9 @@ def betweenness(stream, tv):
     """Betweenness of the temporal node tv: the total contribution of every
     ordered node pair (u, w), including u == w and pairs touching tv.node.
 
+    The anchor's reach bounds are placed once per destination w (y_min) and
+    once per source u (x_max); a pair lacking either contributes 0.
+
     The sum runs on the stream's integer-time twin (`LinkStream.lattice`),
     with times in ticks of 1/L; betweenness scales with the square of time,
     so the twin's total is divided by L**2."""
@@ -25,11 +28,17 @@ def betweenness(stream, tv):
     twin, scale = stream.lattice()
     tv = TemporalNode(on_lattice(tv.time, scale), tv.node)
     table = _lists(twin, twin.nodes)
+    t_lo, t_hi = twin.int_bounds(tv.time)
+    y_mins = {w: y for w, y in ((w, _y_min(table[tv.node][w], t_hi))
+                                for w in twin.nodes) if y is not None}
     total = Q(0)
     for u in twin.nodes:
+        x_max = _x_max(table[u][tv.node], t_lo)
+        if x_max is None:
+            continue
         lists = table[u]
-        for w in twin.nodes:
-            value = _contribution(twin, u, w, tv, lists[w]).value
+        for w, y_min in y_mins.items():
+            value = _value(_anchor(twin, u, w, tv, lists[w], x_max, y_min)).value
             if value:  # most pairs give 0: skip their Fraction additions
                 total += value
     return total / (scale * scale)

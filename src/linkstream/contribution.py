@@ -3,10 +3,11 @@
 At most one latency pair (s, a) from u to w carries shortest fastest paths
 through the queried temporal node (t, v).  Reaching is monotone at both ends,
 so that anchor is found by bisecting the latency lists u->v, v->w and u->w,
-with no search over candidate pairs.  Around the anchor, boundary scans
-(backward over starts, forward over arrivals) produce the cell grid on which
-the double time integral collapses to a finite sum of
-cell_area * (volume through the node / total volume) terms.
+with no search over candidate pairs; `betweenness` bisects u->v once per
+source u (x_max) and v->w once per destination w (y_min).  Around the
+anchor, boundary scans (backward over starts, forward over arrivals) produce
+the cell grid on which the double time integral collapses to a finite sum
+of cell_area * (volume through the node / total volume) terms.
 
 The backward scan and cell lookup mirror the forward ones under time
 reversal, so each is written once, with a direction.
@@ -99,7 +100,29 @@ def next_list(stream, u, w, s, a, ll, d_anchor=None):
     return _scan(stream, u, w, s, a, ll, True, d_anchor)
 
 
+def _x_max(to_v, t_lo):
+    """x_max of `_anchor` from the u->v list, or None; t_lo bounds t."""
+    i = bisect_right(to_v.arrivals, t_lo)
+    return to_v.starts[i - 1] if i else None
+
+
+def _y_min(from_v, t_hi):
+    """y_min of `_anchor` from the v->w list, or None; t_hi bounds t."""
+    j = bisect_left(from_v.starts, t_hi)
+    return from_v.arrivals[j] if j < len(from_v.starts) else None
+
+
 def _anchored(stream, u, w, tv, ll):
+    """`_anchor`, its reach bounds read from the filled lists u->v, v->w."""
+    t_lo, t_hi = stream.int_bounds(tv.time)
+    x_max = _x_max(stream._latency_lists[u][tv.node], t_lo)
+    y_min = _y_min(stream._latency_lists[tv.node][w], t_hi)
+    if x_max is None or y_min is None:
+        return None
+    return _anchor(stream, u, w, tv, ll, x_max, y_min)
+
+
+def _anchor(stream, u, w, tv, ll, x_max, y_min):
     """(anchor, vol_tv, middle, prev entries, next entries): the anchor
     latency pair, the volume of its shortest fastest paths through tv, the
     volume of all of them, and its boundary lists; None when no shortest
@@ -116,18 +139,11 @@ def _anchored(stream, u, w, tv, ll):
     every event time).  x_max <= t <= y_min, and the pairs meeting both
     bounds form one range, so the anchor is its first pair.  t is placed
     among the event times by its int bounds, so every comparison is on
-    event times.  The caller has filled the lists from u and from v."""
+    event times."""
+    k = bisect_left(ll.arrivals, y_min)
+    if k >= bisect_right(ll.starts, x_max):
+        return None
     t, v = tv
-    t_lo, t_hi = stream.int_bounds(t)
-    to_v = stream._latency_lists[u][v]
-    from_v = stream._latency_lists[v][w]
-    i = bisect_right(to_v.arrivals, t_lo)
-    j = bisect_left(from_v.starts, t_hi)
-    if not i or j == len(from_v.starts):
-        return None
-    k = bisect_left(ll.arrivals, from_v.arrivals[j])
-    if k >= bisect_right(ll.starts, to_v.starts[i - 1]):
-        return None
     x, y = ll.starts[k], ll.arrivals[k]
     whole = _vsp(stream, x, u, y, w)
     before = _vsp(stream, x, u, t, v)
@@ -182,12 +198,11 @@ def contribution(stream, u, w, tv, ll):
     stream.check_nodes(u, w)
     stream.check_temporal_node(tv)
     _lists(stream, (u, tv.node))
-    return _contribution(stream, u, w, tv, ll)
+    return _value(_anchored(stream, u, w, tv, ll))
 
 
-def _contribution(stream, u, w, tv, ll):
-    """contribution, without validating or filling the lists it reads."""
-    found = _anchored(stream, u, w, tv, ll)
+def _value(found):
+    """ContributionResult of an `_anchor` result: its cell sum."""
     if found is None:
         return _NO_CONTRIBUTION
     anchor, vol_tv, middle, prev, nxt = found

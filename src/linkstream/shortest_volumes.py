@@ -5,6 +5,8 @@ the temporal distance from the source and the volume of the set of shortest
 paths reaching it.  Crossing an open gap ]t, t'[ multiplies volumes by
 sigma * (t'-t)^d / d! terms (one per shortest path of length d in the gap
 graph); arriving exactly at t' adds the volumes of neighbors one link closer.
+Intervals are closed, so the gap graph is a subgraph of the graph at t', and
+a node with no link at t' keeps its distance and volume across the step.
 
 Tables from a fixed source are cached on the stream, so repeated queries
 (contribution and betweenness make many) cost one sweep per source, and the
@@ -15,6 +17,7 @@ source: the stream's slot tables hold them once for every sweep.
 
 from bisect import bisect_right
 from math import factorial
+from operator import itemgetter
 from typing import NamedTuple
 
 from .numbers import exact_div
@@ -46,17 +49,20 @@ def _gap_volume(sigma, span, d):
 
 def _advance(stream, gap, nxt, span, dist_t, vol_t):
     """One sweep step across an open gap of length `span` (graph of slot
-    `gap`) to the next time (graph of slot `nxt`)."""
-    g_next = stream.snapshot(nxt)
+    `gap`) to the next time (graph of slot `nxt`).  Intervals are closed, so
+    g_next holds the gap graph: a reached node without a link in g_next is
+    reached only by waiting, and keeps its distance and volume exactly.
+    Only linked nodes are recomputed; an unchanged distance map is shared."""
+    adjacency = stream.snapshot(nxt).adjacency
 
-    # distances: a merge of the carried-over distances (list X) and a BFS of
-    # g_next (queue Q); both fronts are non-decreasing in d, and so is the
-    # insertion order of every distance map.
-    xs = list(dist_t.items())
+    # distances of the linked nodes: a merge of their carried-over distances
+    # (list X) and a BFS of g_next (queue Q); both fronts are non-decreasing
+    # in d, and so is the insertion order of every distance map.
+    xs = [(w, d) for w, d in dist_t.items() if adjacency[w]]
     xi = 0
     queue = []
     qi = 0
-    dist = {}
+    near = {}
     while xi < len(xs) or qi < len(queue):
         if qi >= len(queue) or (xi < len(xs) and xs[xi][1] <= queue[qi][1]):
             w, d = xs[xi]
@@ -64,16 +70,16 @@ def _advance(stream, gap, nxt, span, dist_t, vol_t):
         else:
             w, d = queue[qi]
             qi += 1
-        if w in dist:
+        if w in near:
             continue
-        dist[w] = d
-        for y in g_next.neighbors(w):
-            if y not in dist:
+        near[w] = d
+        for y in adjacency[w]:
+            if y not in near:
                 queue.append((y, d + 1))
 
     # volumes, in increasing distance so strictly-closer terms are final
-    vol = {}
-    for w, dw in dist.items():
+    vol = dict(vol_t)
+    for w, dw in near.items():
         acc = V_ZERO
         gap_paths = stream.bfs(gap, w)
         for x, dp in gap_paths.dist.items():
@@ -83,11 +89,13 @@ def _advance(stream, gap, nxt, span, dist_t, vol_t):
                 if dp:
                     term = vol_mul(term, _gap_volume(gap_paths.count[x], span, dp))
                 acc = vol_add(acc, term)
-        for y in g_next.neighbors(w):
-            if dist.get(y) == dw - 1:
+        for y in adjacency[w]:
+            if near.get(y) == dw - 1:
                 acc = vol_add(acc, vol[y])
         vol[w] = acc
-    return dist, vol
+    if near.items() <= dist_t.items():  # no distance changed
+        return dist_t, vol
+    return dict(sorted({**dist_t, **near}.items(), key=itemgetter(1))), vol
 
 
 class SweepTables:

@@ -9,10 +9,14 @@ from linkstream import (
     StreamError,
     TemporalNode,
     betweenness,
+    contribution,
+    latency_lists,
     profile,
 )
 
 from conftest import random_stream, seeded
+from test_lazy import int_stream, ticks
+from test_shared_state import quarter_stream
 
 
 def transform(stream, f, relabel=None):
@@ -215,3 +219,33 @@ class TestPerGapProfile:
         prof = profile(fresh, 1000)
         assert len(prof.samples) == 5005
         assert len(calls) < 1000
+
+
+def with_late_and_isolated_nodes(stream):
+    """The stream with a node "y" that has no link and a node "z" linked to
+    "a" on the last unit of the window only: before it, z reaches nothing."""
+    presence = dict(stream.presence)
+    presence[("a", "z")] = [(stream.omega - 1, stream.omega)]
+    return LinkStream(stream.alpha, stream.omega,
+                      list(stream.nodes) + ["y", "z"], presence)
+
+
+class TestSkippedPairs:
+    """betweenness skips every source u with no u->v latency pair arriving
+    by t, and every destination w with no v->w pair starting at or after t:
+    the pairs it skips must contribute 0."""
+
+    @pytest.mark.parametrize("make", [int_stream, quarter_stream])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_sum_of_public_contributions(self, make, seed):
+        stream = with_late_and_isolated_nodes(make(seeded(4400 + seed)))
+        # the contributions run on a stream of their own: no shared tables
+        fresh = LinkStream(stream.alpha, stream.omega, stream.nodes,
+                           stream.presence)
+        lists = {u: latency_lists(fresh, u) for u in fresh.nodes}
+        for t in ticks(stream):
+            for v in stream.nodes:
+                tv = TemporalNode(t, v)
+                total = sum(contribution(fresh, u, w, tv, lists[u][w]).value
+                            for u in fresh.nodes for w in fresh.nodes)
+                assert betweenness(stream, tv) == total, (seed, tv)
