@@ -12,7 +12,11 @@ time to every node, on the same streams; of `vsp` from every node at
 alpha, at the event times and at the gap midpoints to every later probe
 time and node, on every other stream (of all three time kinds), so that
 the sweep is checked directly and not only through `betweenness`; of
-`contribution` and `cell_ratio` on a subset of them; and of
+`contribution` and `cell_ratio` on a subset of them; of the grid oracle's
+`grid_betweenness` at steps 1/8 and 1/16 on every 20th stream (all three
+time kinds), one call for every node at each of omega and every third of
+the sorted window ends, event times and gap midpoints, so that a change
+to the oracle's scans that moves an estimate changes the digest; and of
 `profile(demo, 1000)`.  Each output is hashed with its query and the type
 of every number, so an int that turns into an equal Fraction changes the
 digest.
@@ -35,6 +39,8 @@ ROOT = Path(__file__).resolve().parent.parent
 STREAMS = 240  # betweenness streams; every CONTRIB_EVERY-th also gets pairs
 CONTRIB_EVERY = 6
 VSP_EVERY = 2  # every VSP_EVERY-th stream (all three time kinds) gets vsp
+ORACLE_EVERY = 20  # every ORACLE_EVERY-th stream (all three time kinds)
+ORACLE_STEPS = (Fraction(1, 8), Fraction(1, 16))  # gets grid_betweenness
 TIME_KINDS = {
     "int": lambda k: k,
     "fraction": Fraction,
@@ -88,6 +94,21 @@ def vsp_outputs(ls, n, stream, times):
                            typed(ls.vsp(stream, src, dst)))
 
 
+def oracle_outputs(ls, n, stream):
+    """(query, output) lines of `grid_betweenness` at every step of
+    ORACLE_STEPS: one call for every node at each of omega and every third
+    of the sorted window ends, event times and gap midpoints."""
+    bounds = sorted({stream.alpha, stream.omega, *stream.event_times()})
+    mids = {a + Fraction(b - a, 2) for a, b in zip(bounds, bounds[1:])}
+    times = sorted({*bounds, *mids})
+    for step in ORACLE_STEPS:
+        grid = ls.GridSpec(step)
+        for t in sorted({*times[::3], stream.omega}):
+            tvs = [ls.TemporalNode(t, v) for v in stream.nodes]
+            for tv, value in zip(tvs, ls.grid_betweenness(stream, tvs, grid)):
+                yield ("G", n, typed(step), typed(tuple(tv))), typed(value)
+
+
 def typed(value):
     """repr of a value with the type of each number in it."""
     if isinstance(value, tuple):
@@ -120,6 +141,8 @@ def outputs(ls):
                            typed(ls.latency(stream, src, w)))
         if n % VSP_EVERY == 0:
             yield from vsp_outputs(ls, n, stream, times)
+        if n % ORACLE_EVERY == 0:
+            yield from oracle_outputs(ls, n, stream)
         if n % CONTRIB_EVERY:
             continue
         for u in stream.nodes:

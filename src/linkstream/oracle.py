@@ -150,6 +150,26 @@ class _GridTable:
         return out
 
 
+def _closure(table, v, ks):
+    """The nodes joined to v over the grid indices ks, crossed in that
+    order: for increasing ks, those that v reaches; for decreasing ks (the
+    snapshots are undirected), those that reach v."""
+    seen = {v}
+    for k in ks:
+        if table.live[k]:
+            seen = _reach_set(table.graphs[k], seen)
+    return seen
+
+
+def _through(table, kt, v):
+    """(back, fwd): the nodes that reach (kt, v) from k_lo on, and those
+    that (kt, v) reaches by k_hi; empty when kt is outside the table."""
+    if not table.k_lo <= kt <= table.k_hi:
+        return set(), set()
+    return (_closure(table, v, range(kt, table.k_lo - 1, -1)),
+            _closure(table, v, range(kt, table.k_hi + 1)))
+
+
 def _reach_scan(table, u, ks):
     """arrival[y] = earliest grid index a with a path u -> y whose first
     crossing is exactly at ks and last crossing at a (arrival[u] = ks); empty
@@ -282,8 +302,14 @@ def _grid_contributions(table, u, w, arrivals, tv_idx):
     (u, w) to the betweenness of every temporal node in tv_idx (as (grid
     index, node)).  arrivals[ks] is the earliest arrival index at w from the
     first crossing ks (see _reach_scan), for each ks from which w is
-    reached."""
+    reached.
+
+    A path counted through (kt, v) is at v at index kt, so it arrives at kt
+    or later: a column kj < min kt aggregates only starts that arrive by
+    kj, its through counts are all 0, and it is not walked (its usable
+    starts are still recorded for the later columns)."""
     k_lo = table.k_lo
+    first = min(kt for kt, _ in tv_idx)
     pairs = {}
 
     def pair(ks):
@@ -315,6 +341,8 @@ def _grid_contributions(table, u, w, arrivals, tv_idx):
     for kj, next_kj in zip(columns, columns[1:]):
         for ks in by_arrival[kj]:
             insort(usable, ks)
+        if kj < first:
+            continue
         width = next_kj - kj
         dur = length = through = top = None
         count = 0
@@ -349,20 +377,29 @@ def grid_contribution(stream, u, w, tv, grid, window=None):
             raise GridError("unknown node %r" % node)
     lo, hi = (stream.alpha, stream.omega) if window is None else window
     table = _GridTable(stream, grid, grid.index(lo), grid.index(hi), 1)
-    if u == w:
+    kt = grid.index(tv.time)
+    back, fwd = _through(table, kt, tv.node)
+    if u == w or u not in back or w not in fwd:
         return Fraction(0)
     scans = {ks: _reach_scan(table, u, ks)
              for ks in range(table.k_lo, table.k_hi + 1)}
     arrivals = {ks: scan[w] for ks, scan in scans.items() if w in scan}
-    cells = _grid_contributions(table, u, w, arrivals,
-                                [(grid.index(tv.time), tv.node)])
+    cells = _grid_contributions(table, u, w, arrivals, [(kt, tv.node)])
     return cells[0] * grid.step * grid.step
 
 
 def grid_betweenness(stream, tvs, grid):
     """Riemann-sum betweenness estimates for several temporal nodes at once
     (one grid table, and one reach scan per source and first crossing,
-    shared across node pairs and queries)."""
+    shared across node pairs and queries).
+
+    A path counted through (kt, v) is at v at index kt: its source reaches
+    (kt, v) on [k_lo, kt], the back closure of (kt, v), and (kt, v) reaches
+    its destination on [kt, k_hi], the fwd closure; this holds for a path
+    that starts at (kt, v) or ends there too.  So only the sources in some
+    back closure are scanned, and only their pairs (u, w) with w in the fwd
+    closure of a query whose back closure holds u: every other pair adds 0
+    to every estimate.  The cell bound still counts all n(n-1) pairs."""
     grid.check_stream(stream)
     for tv in tvs:
         stream.check_temporal_node(tv)
@@ -370,12 +407,17 @@ def grid_betweenness(stream, tvs, grid):
     table = _GridTable(stream, grid, grid.index(stream.alpha),
                        grid.index(stream.omega), n * (n - 1))
     tv_idx = [(grid.index(tv.time), tv.node) for tv in tvs]
+    through = [_through(table, kt, v) for kt, v in tv_idx]
     totals = [Fraction(0)] * len(tvs)
     for u in stream.nodes:
+        ends = set().union(*(fwd for back, fwd in through if u in back))
+        ends.discard(u)
+        if not ends:
+            continue
         scans = {ks: _reach_scan(table, u, ks)
                  for ks in range(table.k_lo, table.k_hi + 1)}
         for w in stream.nodes:
-            if u == w:
+            if w not in ends:
                 continue
             arrivals = {ks: scan[w] for ks, scan in scans.items()
                         if w in scan}

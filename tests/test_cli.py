@@ -219,6 +219,23 @@ class TestVerifyRejectsWrongAnswers:
         assert err.startswith("verify: oracle estimate") and "far from 9" in err
 
 
+class TestVerifyDegenerate:
+    """`betweenness --verify` where nothing can pass through the queried
+    temporal node: at a node with no link, and at the window ends, where
+    the nodes that reach it, or those it reaches, are the node alone."""
+
+    TEXT = "0 4\na b 1 2\nb c 2 3\nx\n"
+
+    @pytest.mark.parametrize("at", [("2", "x"), ("0", "b"), ("4", "b")],
+                             ids=["no_link", "alpha", "omega"])
+    def test_exact_value_accepted(self, capsys, tmp_path, at):
+        path = tmp_path / "s.ls"
+        path.write_text(self.TEXT, encoding="utf-8")
+        code, out, err = invoke(capsys, "betweenness", "--stream", str(path),
+                                "--at", *at, "--verify")
+        assert (code, out, err) == (0, "0\n", "")
+
+
 class TestProfile:
     def test_csv_shape_and_determinism(self, capsys, demo_path):
         code, out, err = invoke(

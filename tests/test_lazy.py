@@ -25,15 +25,12 @@ from linkstream import (
 from linkstream.shortest_volumes import sweep_tables
 
 from conftest import random_stream, seeded
-from test_shared_state import quarter_stream
+from test_shared_state import int_times, quarter_stream
 
 
 def int_stream(rng):
     """A random stream whose every time is a Python int."""
-    stream = random_stream(rng, max_segments=10, horizon=10)
-    presence = {pair: [(int(b), int(e)) for b, e in ivs]
-                for pair, ivs in stream.presence.items()}
-    return LinkStream(0, 10, stream.nodes, presence)
+    return int_times(random_stream(rng, max_segments=10, horizon=10))
 
 
 def as_fractions(stream):

@@ -1,4 +1,5 @@
 import ast
+import operator
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -21,8 +22,12 @@ from linkstream import (
     parse_stream,
     vsp,
 )
+from linkstream.oracle import _GridTable, _pair_counts, _reach_scan
 
 from conftest import random_stream, reversed_stream, seeded
+from test_betweenness import with_late_and_isolated_nodes
+from test_lazy import int_stream
+from test_shared_state import quarter_stream
 
 
 def tn(t, v):
@@ -268,6 +273,134 @@ class TestTimeReversal:
             assert grid_count_shortest(stream, src, dst, self.GRID) == \
                 grid_count_shortest(rev, self.mirror(dst), self.mirror(src),
                                     self.GRID)
+
+
+# -- pruning --------------------------------------------------------------
+#
+# grid_betweenness scans only the pairs that can pass through a queried
+# temporal node, and walks only the columns that can; the reference below is
+# the scan over every ordered pair and every column.
+
+
+def reference_cells(table, u, w, arrivals, tv_idx):
+    """The Riemann sums of (u, w), in grid cells, with every column walked."""
+    pairs = {}
+
+    def pair(ks):
+        if ks not in pairs:
+            pairs[ks] = _pair_counts(table, u, w, ks, arrivals[ks], tv_idx)
+        return pairs[ks]
+
+    sums = [{} for _ in tv_idx]
+
+    def add_cells(count, through, cells):
+        for n, thr in enumerate(through):
+            if thr:
+                sums[n][count] = sums[n].get(count, 0) + thr * cells
+
+    by_arrival = {}
+    for ks, ka in arrivals.items():
+        by_arrival.setdefault(ka, []).append(ks)
+    columns = sorted(by_arrival) + [table.k_hi + 1]
+    usable = []
+    for kj, next_kj in zip(columns, columns[1:]):
+        usable = sorted(usable + by_arrival[kj])
+        width = next_kj - kj
+        dur = length = through = top = None
+        count = 0
+        for ki in reversed(usable):
+            g = arrivals[ki] - ki
+            if dur is not None and g > dur:
+                continue
+            tab_length, tab_count, tab_through = pair(ki)
+            if dur is None or g < dur:
+                dur = g
+            elif tab_length > length:
+                continue
+            elif tab_length == length:
+                tab_count += count
+                tab_through = tuple(map(operator.add, through, tab_through))
+            if count:
+                add_cells(count, through, (top - ki) * width)
+            length, count, through, top = (tab_length, tab_count,
+                                           tab_through, ki)
+        if count:
+            add_cells(count, through, (top - table.k_lo + 1) * width)
+    return [sum((Fraction(v, c) for c, v in acc.items()), Fraction(0))
+            for acc in sums]
+
+
+def reference_pairs(stream, tvs, grid):
+    """(u, w) -> the cell sums of the pair for each of tvs, over every
+    ordered pair of distinct nodes."""
+    table = _GridTable(stream, grid, grid.index(stream.alpha),
+                       grid.index(stream.omega))
+    tv_idx = [(grid.index(tv.time), tv.node) for tv in tvs]
+    out = {}
+    for u in stream.nodes:
+        scans = {ks: _reach_scan(table, u, ks)
+                 for ks in range(table.k_lo, table.k_hi + 1)}
+        for w in stream.nodes:
+            if u != w:
+                arrivals = {ks: scan[w] for ks, scan in scans.items()
+                            if w in scan}
+                out[u, w] = reference_cells(table, u, w, arrivals, tv_idx)
+    return out
+
+
+def pruning_case(make, seed):
+    """A random stream with an unlinked node "y" and a node "z" linked on
+    the last unit only; temporal nodes at both window ends, at two event
+    times, at two gap midpoints, and at y; a grid that holds them all."""
+    rng = seeded(seed)
+    stream = with_late_and_isolated_nodes(make(rng))
+    bounds = sorted({stream.alpha, stream.omega, *stream.event_times()})
+    mids = [a + Q(b - a, 2) for a, b in zip(bounds, bounds[1:])]
+    times = [stream.alpha, stream.omega, *rng.sample(bounds, 2),
+             *rng.sample(mids, 2)]
+    linked = [v for v in stream.nodes if v != "y"]
+    tvs = [TemporalNode(t, rng.choice(linked)) for t in times]
+    tvs.append(TemporalNode(rng.choice(mids), "y"))
+    step = Fraction(1, 4 if make is int_stream else 8)
+    return stream, tvs, GridSpec(step)
+
+
+class TestPruning:
+    @pytest.mark.parametrize("make", [int_stream, quarter_stream],
+                             ids=["int", "quarter"])
+    @pytest.mark.parametrize("seed", range(10))
+    def test_betweenness_matches_unpruned_scan(self, make, seed,
+                                               monkeypatch):
+        stream, tvs, grid = pruning_case(make, 1500 + seed)
+        ref = reference_pairs(stream, tvs, grid)
+        scanned = set()
+        walk = linkstream.oracle._grid_contributions
+
+        def recorded(table, u, w, arrivals, tv_idx):
+            scanned.add((u, w))
+            return walk(table, u, w, arrivals, tv_idx)
+
+        monkeypatch.setattr(linkstream.oracle, "_grid_contributions",
+                            recorded)
+        got = grid_betweenness(stream, tvs, grid)
+        cell = grid.step * grid.step
+        assert got == [sum(col, Fraction(0)) * cell for col in zip(*ref.values())]
+        skipped = set(ref) - scanned
+        assert {p for p in ref if "y" in p} <= skipped
+        for p in skipped:
+            assert ref[p] == [0] * len(tvs), p
+
+    @pytest.mark.parametrize("make", [int_stream, quarter_stream],
+                             ids=["int", "quarter"])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_contribution_matches_unpruned_scan(self, make, seed):
+        stream, tvs, grid = pruning_case(make, 1500 + seed)
+        ref = reference_pairs(stream, tvs, grid)
+        cell = grid.step * grid.step
+        for (u, w), sums in ref.items():
+            for tv, value in zip(tvs, sums):
+                assert grid_contribution(stream, u, w, tv, grid) == \
+                    value * cell, (u, w, tv)
 
 
 # -- independence -------------------------------------------------------
