@@ -12,11 +12,13 @@ time to every node, on the same streams; of `vsp` from every node at
 alpha, at the event times and at the gap midpoints to every later probe
 time and node, on every other stream (of all three time kinds), so that
 the sweep is checked directly and not only through `betweenness`; of
-`contribution` and `cell_ratio` on a subset of them; of the grid oracle's
-`grid_betweenness` at steps 1/8 and 1/16 on every 20th stream (all three
-time kinds), one call for every node at each of omega and every third of
-the sorted window ends, event times and gap midpoints, so that a change
-to the oracle's scans that moves an estimate changes the digest; and of
+`contribution` and `cell_ratio` on a subset of them; of every entry point
+of the grid oracle on every 20th stream (all three time kinds), at omega
+and every third of the sorted window ends, event times and gap midpoints:
+`grid_betweenness` at steps 1/8 and 1/16, and `grid_fastest` (with and
+without `arrive_by`), `grid_count_shortest` and a windowed
+`grid_contribution` at step 1/8, so that a change to the oracle's scans or
+grid table that moves an estimate changes the digest; and of
 `profile(demo, 1000)`.  Each output is hashed with its query and the type
 of every number, so an int that turns into an equal Fraction changes the
 digest.
@@ -40,7 +42,7 @@ STREAMS = 240  # betweenness streams; every CONTRIB_EVERY-th also gets pairs
 CONTRIB_EVERY = 6
 VSP_EVERY = 2  # every VSP_EVERY-th stream (all three time kinds) gets vsp
 ORACLE_EVERY = 20  # every ORACLE_EVERY-th stream (all three time kinds)
-ORACLE_STEPS = (Fraction(1, 8), Fraction(1, 16))  # gets grid_betweenness
+ORACLE_STEPS = (Fraction(1, 8), Fraction(1, 16))  # gets the grid oracle
 TIME_KINDS = {
     "int": lambda k: k,
     "fraction": Fraction,
@@ -95,18 +97,47 @@ def vsp_outputs(ls, n, stream, times):
 
 
 def oracle_outputs(ls, n, stream):
-    """(query, output) lines of `grid_betweenness` at every step of
-    ORACLE_STEPS: one call for every node at each of omega and every third
-    of the sorted window ends, event times and gap midpoints."""
+    """(query, output) lines of the grid oracle at the probe times: omega
+    and every third of the sorted window ends, event times and gap
+    midpoints.  At every step of ORACLE_STEPS, `grid_betweenness` in one
+    call for every node at each probe time.  At the first step, from every
+    node at every probe time: `grid_fastest` to every node, by omega and by
+    that probe time and every third later one; `grid_count_shortest` to
+    every node at those times; and `grid_contribution` of every ordered
+    pair at the node at that time next in the stream's order, over the
+    window from the middle probe time to omega."""
     bounds = sorted({stream.alpha, stream.omega, *stream.event_times()})
     mids = {a + Fraction(b - a, 2) for a, b in zip(bounds, bounds[1:])}
     times = sorted({*bounds, *mids})
+    probes = sorted({*times[::3], stream.omega})
     for step in ORACLE_STEPS:
         grid = ls.GridSpec(step)
-        for t in sorted({*times[::3], stream.omega}):
+        for t in probes:
             tvs = [ls.TemporalNode(t, v) for v in stream.nodes]
             for tv, value in zip(tvs, ls.grid_betweenness(stream, tvs, grid)):
                 yield ("G", n, typed(step), typed(tuple(tv))), typed(value)
+    grid = ls.GridSpec(ORACLE_STEPS[0])
+    window = (probes[len(probes) // 2], stream.omega)
+    nodes = stream.nodes
+    for i, t in enumerate(probes):
+        for k, u in enumerate(nodes):
+            src = ls.TemporalNode(t, u)
+            query = (n, typed(tuple(src)))
+            tv = ls.TemporalNode(t, nodes[(k + 1) % len(nodes)])
+            for w in nodes:
+                yield (("GF",) + query + (w,),
+                       typed(ls.grid_fastest(stream, src, w, grid)))
+                yield (("GC",) + query + (w, typed(tuple(tv))),
+                       typed(ls.grid_contribution(stream, u, w, tv, grid,
+                                                  window=window)))
+                for t2 in probes[i::3]:
+                    dst = ls.TemporalNode(t2, w)
+                    yield (("GF",) + query + (w, typed(t2)),
+                           typed(ls.grid_fastest(stream, src, w, grid,
+                                                 arrive_by=t2)))
+                    yield (("GS",) + query + (typed(tuple(dst)),),
+                           typed(ls.grid_count_shortest(stream, src, dst,
+                                                        grid)))
 
 
 def typed(value):

@@ -67,8 +67,6 @@ def _build_parser():
 
     p = add("profile", "betweenness sampled on a regular grid for all nodes")
     p.add_argument("--samples", type=int, required=True, metavar="N")
-    p.add_argument("--threads", type=int, default=1, metavar="N",
-                   help="accepted and ignored: samples are evaluated serially")
     p.add_argument("--format", choices=["csv"], default=None)
 
     return parser

@@ -27,6 +27,12 @@ class GridError(ValueError):
     pass
 
 
+def _exact(t):
+    if not isinstance(t, (int, Fraction)):  # a float has no exact grid place
+        raise TypeError("cannot convert %r to an exact rational" % (t,))
+    return Fraction(t)
+
+
 class GridSpec:
     """Uniform time grid of a given exact step; every event time and query
     time must be a whole multiple of the step."""
@@ -34,13 +40,13 @@ class GridSpec:
     __slots__ = ("step",)
 
     def __init__(self, step):
-        step = Fraction(step)
+        step = _exact(step)
         if step <= 0:
             raise GridError("grid step must be > 0, got %s" % step)
         self.step = step
 
     def index(self, t):
-        k = Fraction(t) / self.step
+        k = _exact(t) / self.step
         if k.denominator != 1:
             raise GridError("time %s is not on the grid of step %s"
                             % (t, self.step))
@@ -95,13 +101,16 @@ def _has_edges(graph):
 
 
 class _GridTable:
-    """The snapshot at each grid index of [k_lo, k_hi], resolved once and
+    """The snapshot at each grid index of [k_lo, k_hi], those of the times
+    lo and hi, on a grid checked against the stream, resolved once and
     shared by every scan of one entry-point call, with the BFS of each
     snapshot and node that its shortest-path steps have needed."""
 
     __slots__ = ("k_lo", "k_hi", "graphs", "live", "changes", "_searched")
 
-    def __init__(self, stream, grid, k_lo, k_hi, pairs=0):
+    def __init__(self, stream, grid, lo, hi, pairs=0):
+        grid.check_stream(stream)
+        k_lo, k_hi = grid.index(lo), grid.index(hi)
         points = k_hi - k_lo + 1
         if points > MAX_GRID_POINTS:
             raise GridError("grid of %d points exceeds the oracle limit of %d"
@@ -199,15 +208,13 @@ def grid_count_shortest(stream, src, dst, grid):
     Richardson extrapolation across two steps (2*E(step/2) - E(step))
     cancels the leading boundary bias.
     """
-    grid.check_stream(stream)
     stream.check_temporal_node(src)
     stream.check_temporal_node(dst)
-    k0, k1 = grid.index(src.time), grid.index(dst.time)
-    if k0 > k1:
+    table = _GridTable(stream, grid, src.time, dst.time)
+    if table.k_lo > table.k_hi:
         return (None, 0)
-    table = _GridTable(stream, grid, k0, k1)
     avail = {src.node: (0, 1)}
-    for k in range(k0, k1 + 1):
+    for k in range(table.k_lo, table.k_hi + 1):
         avail = table.cross(k, avail)
     return avail.get(dst.node, (None, 0))
 
@@ -228,17 +235,15 @@ def _keep_shortest(best, y, length, count):
 def grid_fastest(stream, src, dst_node, grid, arrive_by=None):
     """Minimal duration over grid-timed paths from src to dst_node arriving
     by `arrive_by` (default omega); None when unreachable."""
-    grid.check_stream(stream)
     stream.check_temporal_node(src)
     if dst_node not in stream.nodes:
         raise GridError("unknown node %r" % dst_node)
+    limit = stream.omega if arrive_by is None else arrive_by
+    table = _GridTable(stream, grid, src.time, limit)
     if src.node == dst_node:
         return Fraction(0)
-    limit = stream.omega if arrive_by is None else arrive_by
-    k0, k1 = grid.index(src.time), grid.index(limit)
-    table = _GridTable(stream, grid, k0, k1)
     best = None
-    for ks in range(k0, k1 + 1):
+    for ks in range(table.k_lo, table.k_hi + 1):
         ka = _reach_scan(table, src.node, ks).get(dst_node)
         if ka is not None and (best is None or ka - ks < best):
             best = ka - ks
@@ -368,60 +373,54 @@ def _grid_contributions(table, u, w, arrivals, tv_idx):
             for acc in sums]
 
 
-def grid_contribution(stream, u, w, tv, grid, window=None):
-    """Riemann-sum estimate of C_tv(u, w); converges as the step shrinks."""
-    grid.check_stream(stream)
-    stream.check_temporal_node(tv)
-    for node in (u, w):
-        if node not in stream.nodes:
-            raise GridError("unknown node %r" % node)
-    lo, hi = (stream.alpha, stream.omega) if window is None else window
-    table = _GridTable(stream, grid, grid.index(lo), grid.index(hi), 1)
-    kt = grid.index(tv.time)
-    back, fwd = _through(table, kt, tv.node)
-    if u == w or u not in back or w not in fwd:
-        return Fraction(0)
-    scans = {ks: _reach_scan(table, u, ks)
-             for ks in range(table.k_lo, table.k_hi + 1)}
-    arrivals = {ks: scan[w] for ks, scan in scans.items() if w in scan}
-    cells = _grid_contributions(table, u, w, arrivals, [(kt, tv.node)])
-    return cells[0] * grid.step * grid.step
-
-
-def grid_betweenness(stream, tvs, grid):
-    """Riemann-sum betweenness estimates for several temporal nodes at once
-    (one grid table, and one reach scan per source and first crossing,
-    shared across node pairs and queries).
+def _grid_sums(stream, tvs, grid, lo, hi, dests, pairs):
+    """Riemann-sum estimates, one per temporal node tv of tvs, of the sum of
+    C_tv(u, w) over each node u and w of dests[u], on the grid over [lo,
+    hi] whose cell bound counts `pairs` node pairs.  One reach scan per
+    source and first crossing serves all its pairs and queries.
 
     A path counted through (kt, v) is at v at index kt: its source reaches
     (kt, v) on [k_lo, kt], the back closure of (kt, v), and (kt, v) reaches
     its destination on [kt, k_hi], the fwd closure; this holds for a path
     that starts at (kt, v) or ends there too.  So only the sources in some
     back closure are scanned, and only their pairs (u, w) with w in the fwd
-    closure of a query whose back closure holds u: every other pair adds 0
-    to every estimate.  The cell bound still counts all n(n-1) pairs."""
-    grid.check_stream(stream)
+    closure of a query whose back closure holds u: every other pair, and a
+    pair (u, u), adds 0 to every estimate."""
     for tv in tvs:
         stream.check_temporal_node(tv)
-    n = len(stream.nodes)
-    table = _GridTable(stream, grid, grid.index(stream.alpha),
-                       grid.index(stream.omega), n * (n - 1))
+    table = _GridTable(stream, grid, lo, hi, pairs)
     tv_idx = [(grid.index(tv.time), tv.node) for tv in tvs]
     through = [_through(table, kt, v) for kt, v in tv_idx]
     totals = [Fraction(0)] * len(tvs)
-    for u in stream.nodes:
+    for u, ws in dests.items():
         ends = set().union(*(fwd for back, fwd in through if u in back))
-        ends.discard(u)
-        if not ends:
+        ws = [w for w in ws if w in ends and w != u]
+        if not ws:
             continue
         scans = {ks: _reach_scan(table, u, ks)
                  for ks in range(table.k_lo, table.k_hi + 1)}
-        for w in stream.nodes:
-            if w not in ends:
-                continue
+        for w in ws:
             arrivals = {ks: scan[w] for ks, scan in scans.items()
                         if w in scan}
             part = _grid_contributions(table, u, w, arrivals, tv_idx)
             totals = [a + b for a, b in zip(totals, part)]
     cell = grid.step * grid.step
     return [t * cell for t in totals]
+
+
+def grid_contribution(stream, u, w, tv, grid, window=None):
+    """Riemann-sum estimate of C_tv(u, w), the one-pair case of the scan of
+    grid_betweenness; converges as the step shrinks."""
+    for node in (u, w):
+        if node not in stream.nodes:
+            raise GridError("unknown node %r" % node)
+    lo, hi = (stream.alpha, stream.omega) if window is None else window
+    return _grid_sums(stream, [tv], grid, lo, hi, {u: [w]}, 1)[0]
+
+
+def grid_betweenness(stream, tvs, grid):
+    """Riemann-sum betweenness estimates for several temporal nodes at once,
+    by one scan of every ordered node pair (see _grid_sums)."""
+    n = len(stream.nodes)
+    return _grid_sums(stream, tvs, grid, stream.alpha, stream.omega,
+                      dict.fromkeys(stream.nodes, stream.nodes), n * (n - 1))

@@ -310,6 +310,8 @@ def parse_stream(text):
                 header = (parse_time(fields[0]), parse_time(fields[1]))
             except ValueError as exc:
                 raise StreamError("line %d: %s" % (lineno, exc)) from None
+            if header[0] > header[1]:
+                raise StreamError("line %d: alpha > omega" % lineno)
             continue
         if len(fields) == 1:
             nodes.add(fields[0])

@@ -255,11 +255,19 @@ class TestProfile:
     def test_plain_format_and_threads(self, capsys, demo_path):
         code, out, _ = invoke(
             capsys, "profile", "--stream", demo_path,
-            "--samples", "2", "--threads", "3",
+            "--samples", "2",
         )
         assert code == 0
         first = out.splitlines()[0].split(" ")
         assert first[0] == "a" and first[1] == "0"
+
+    def test_threads_is_usage_error(self, capsys, demo_path):
+        code, out, err = invoke(
+            capsys, "profile", "--stream", demo_path,
+            "--samples", "1", "--threads", "0",
+        )
+        assert code == 2 and out == ""
+        assert "--threads" in err
 
     def test_negative_decimal_is_usage_error(self, capsys, demo_path):
         code, out, err = invoke(
@@ -293,6 +301,15 @@ class TestDiagnostics:
         )
         assert code == 1
         assert "line 2" in err
+
+    def test_header_alpha_after_omega(self, capsys, tmp_path):
+        bad = tmp_path / "bad.ls"
+        bad.write_text("# one\n# two\n10 0\na b 1 2\n", encoding="utf-8")
+        code, out, err = invoke(
+            capsys, "latencies", "--stream", str(bad), "--source", "a",
+        )
+        assert code == 1 and out == ""
+        assert err == "error: line 3: alpha > omega\n"
 
     # every grid of `--verify` refines this bound's denominator (10**24 + 7)
     FINE = "0 10\na b 1/1000000000000000000000007 2\nb c 3 4\n"

@@ -55,6 +55,16 @@ class TestGridSpec:
         with pytest.raises(GridError):
             grid.index(Fraction(1, 3))
 
+    def test_float_step_rejected(self):
+        with pytest.raises(TypeError,
+                           match="cannot convert 0.1 to an exact rational"):
+            GridSpec(0.1)
+
+    def test_float_time_rejected(self):
+        with pytest.raises(TypeError,
+                           match="cannot convert 0.5 to an exact rational"):
+            GridSpec(Fraction(1, 8)).index(0.5)
+
     def test_check_stream(self, demo):
         GridSpec(Fraction(1, 2)).check_stream(demo)
         with pytest.raises(GridError):
@@ -169,6 +179,12 @@ class TestFastest:
         with pytest.raises(GridError):
             grid_fastest(demo, tn(0, "a"), "z", GridSpec(Fraction(1)))
 
+    def test_float_arrive_by_rejected(self, demo):
+        with pytest.raises(TypeError,
+                           match="cannot convert 20.5 to an exact rational"):
+            grid_fastest(demo, tn(0, "a"), "e", GridSpec(Fraction(1, 8)),
+                         arrive_by=20.5)
+
 
 class TestContribution:
     @pytest.mark.parametrize(
@@ -205,6 +221,12 @@ class TestContribution:
             demo, "a", "e", tn(Q(9, 2), "c"), grid, window=(Q(20), Q(32))
         )
         assert late == 0
+
+    def test_float_window_rejected(self, demo):
+        with pytest.raises(TypeError,
+                           match="cannot convert 0.0 to an exact rational"):
+            grid_contribution(demo, "a", "e", tn(Q(9, 2), "c"),
+                              GridSpec(Fraction(1, 8)), window=(0.0, 16.0))
 
 
 class TestBetweenness:
@@ -333,8 +355,7 @@ def reference_cells(table, u, w, arrivals, tv_idx):
 def reference_pairs(stream, tvs, grid):
     """(u, w) -> the cell sums of the pair for each of tvs, over every
     ordered pair of distinct nodes."""
-    table = _GridTable(stream, grid, grid.index(stream.alpha),
-                       grid.index(stream.omega))
+    table = _GridTable(stream, grid, stream.alpha, stream.omega)
     tv_idx = [(grid.index(tv.time), tv.node) for tv in tvs]
     out = {}
     for u in stream.nodes:
@@ -401,6 +422,28 @@ class TestPruning:
             for tv, value in zip(tvs, sums):
                 assert grid_contribution(stream, u, w, tv, grid) == \
                     value * cell, (u, w, tv)
+
+
+class TestEntryPointsAgree:
+    """B(t, v) is the sum of C_(t,v)(u, w) over the ordered pairs of
+    distinct nodes: the estimates of grid_betweenness are the sums of those
+    of grid_contribution, exactly, and a window of [alpha, omega] is the
+    default one."""
+
+    @pytest.mark.parametrize("make", [int_stream, quarter_stream],
+                             ids=["int", "quarter"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_betweenness_sums_contributions(self, make, seed):
+        stream, tvs, grid = pruning_case(make, 1600 + seed)
+        window = (stream.alpha, stream.omega)
+        pairs = [(u, w) for u in stream.nodes for w in stream.nodes if u != w]
+        for tv, value in zip(tvs, grid_betweenness(stream, tvs, grid)):
+            parts = [grid_contribution(stream, u, w, tv, grid)
+                     for u, w in pairs]
+            assert parts == [grid_contribution(stream, u, w, tv, grid,
+                                               window=window)
+                             for u, w in pairs]
+            assert sum(parts, Fraction(0)) == value, tv
 
 
 # -- independence -------------------------------------------------------

@@ -123,6 +123,16 @@ class TestParseStream:
         with pytest.raises(StreamError, match="header"):
             parse_stream("# nothing\n")
 
+    @pytest.mark.parametrize("text,lineno", [
+        ("10 0\na b 1 2\n", 1),
+        ("# one\n\n# two\n10 0\na b 1 2\n", 4),
+        ("10 0\n", 1),
+    ])
+    def test_header_alpha_after_omega(self, text, lineno):
+        with pytest.raises(StreamError) as info:
+            parse_stream(text)
+        assert str(info.value) == "line %d: alpha > omega" % lineno
+
     def test_roundtrip_identity(self, demo):
         text = demo.serialize()
         again = parse_stream(text)
