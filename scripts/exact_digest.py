@@ -15,10 +15,11 @@ the sweep is checked directly and not only through `betweenness`; of
 `contribution` and `cell_ratio` on a subset of them; of every entry point
 of the grid oracle on every 20th stream (all three time kinds), at omega
 and every third of the sorted window ends, event times and gap midpoints:
-`grid_betweenness` at steps 1/8 and 1/16, and `grid_fastest` (with and
-without `arrive_by`), `grid_count_shortest` and a windowed
-`grid_contribution` at step 1/8, so that a change to the oracle's scans or
-grid table that moves an estimate changes the digest; and of
+`grid_betweenness` at steps 1/8 and 1/16 (also with the nodes of one call
+at different probe times), and `grid_fastest` (with and without
+`arrive_by`), `grid_count_shortest` and a windowed `grid_contribution` at
+step 1/8, so that a change to the oracle's scans or grid table that moves
+an estimate changes the digest; and of
 `profile(demo, 1000)`.  Each output is hashed with its query and the type
 of every number, so an int that turns into an equal Fraction changes the
 digest.
@@ -100,7 +101,8 @@ def oracle_outputs(ls, n, stream):
     """(query, output) lines of the grid oracle at the probe times: omega
     and every third of the sorted window ends, event times and gap
     midpoints.  At every step of ORACLE_STEPS, `grid_betweenness` in one
-    call for every node at each probe time.  At the first step, from every
+    call for every node at each probe time, and in one call for every node
+    at a probe time of its own (see `spread`).  At the first step, from every
     node at every probe time: `grid_fastest` to every node, by omega and by
     that probe time and every third later one; `grid_count_shortest` to
     every node at those times; and `grid_contribution` of every ordered
@@ -110,12 +112,20 @@ def oracle_outputs(ls, n, stream):
     mids = {a + Fraction(b - a, 2) for a, b in zip(bounds, bounds[1:])}
     times = sorted({*bounds, *mids})
     probes = sorted({*times[::3], stream.omega})
+    # the middle probe time down to alpha, one per node in turn: the first
+    # node sits at the latest of them, so the last queried index is not the
+    # final query's, and the other queries lie before it
+    spread = probes[len(probes) // 2::-1]
     for step in ORACLE_STEPS:
         grid = ls.GridSpec(step)
         for t in probes:
             tvs = [ls.TemporalNode(t, v) for v in stream.nodes]
             for tv, value in zip(tvs, ls.grid_betweenness(stream, tvs, grid)):
                 yield ("G", n, typed(step), typed(tuple(tv))), typed(value)
+        tvs = [ls.TemporalNode(spread[k % len(spread)], v)
+               for k, v in enumerate(stream.nodes)]
+        for tv, value in zip(tvs, ls.grid_betweenness(stream, tvs, grid)):
+            yield ("GM", n, typed(step), typed(tuple(tv))), typed(value)
     grid = ls.GridSpec(ORACLE_STEPS[0])
     window = (probes[len(probes) // 2], stream.omega)
     nodes = stream.nodes

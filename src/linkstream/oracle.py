@@ -302,6 +302,26 @@ def _pair_counts(table, u, w, ks, ka, tv_idx):
     return length, count, tuple(through)
 
 
+def _fold(agg, ks, ka, pair):
+    """The aggregate (duration, length, count, through) of a set of usable
+    starts with the start ks, of earliest arrival ka, added: the fastest
+    starts, then the shortest of those, their counts and through counts
+    summed.  pair(ks) is asked for only when ks is not slower; `agg` itself
+    comes back when ks is slower or longer.  The result is a lexicographic
+    minimum with counts summed on ties, so it does not depend on the order
+    in which the starts are added."""
+    dur, length, count, through = agg
+    g = ka - ks
+    if dur is not None and g > dur:
+        return agg
+    tab_length, tab_count, tab_through = pair(ks)
+    if dur is None or g < dur or tab_length < length:
+        return g, tab_length, tab_count, tab_through
+    if tab_length > length:
+        return agg
+    return g, length, count + tab_count, tuple(map(add, through, tab_through))
+
+
 def _grid_contributions(table, u, w, arrivals, tv_idx):
     """Riemann sums, in units of one grid cell, of the contribution of
     (u, w) to the betweenness of every temporal node in tv_idx (as (grid
@@ -309,12 +329,21 @@ def _grid_contributions(table, u, w, arrivals, tv_idx):
     first crossing ks (see _reach_scan), for each ks from which w is
     reached.
 
-    A path counted through (kt, v) is at v at index kt, so it arrives at kt
-    or later: a column kj < min kt aggregates only starts that arrive by
-    kj, its through counts are all 0, and it is not walked (its usable
-    starts are still recorded for the later columns)."""
+    A path counted through (kt, v) is at v at index kt, so ks <= kt <=
+    arrivals[ks] for its first crossing ks.  So a column kj < min kt has
+    through counts 0 and is not walked (its usable starts are still
+    recorded for the later columns).  And a start after the last kt has
+    through counts 0: it only helps choose the fastest, then shortest,
+    starts of a cell and their count.  It lies above every row at or
+    before the last kt, so each of those rows aggregates every late start
+    usable so far.  These are folded into one aggregate as they become
+    usable (_fold does not depend on order), and each column walks only
+    the starts at or before the last kt, down from that aggregate.  The
+    rows above the last kt hold only late starts: their cells add 0 and
+    need no walk."""
     k_lo = table.k_lo
     first = min(kt for kt, _ in tv_idx)
+    last = max(kt for kt, _ in tv_idx)
     pairs = {}
 
     def pair(ks):
@@ -326,7 +355,8 @@ def _grid_contributions(table, u, w, arrivals, tv_idx):
 
     sums = [{} for _ in tv_idx]  # per query: count -> sum of through * cells
 
-    def add_cells(count, through, cells):
+    def add_cells(agg, cells):
+        _, _, count, through = agg
         for n, thr in enumerate(through):
             if thr:
                 sums[n][count] = sums[n].get(count, 0) + thr * cells
@@ -342,79 +372,99 @@ def _grid_contributions(table, u, w, arrivals, tv_idx):
     for ks, ka in arrivals.items():
         by_arrival.setdefault(ka, []).append(ks)
     columns = sorted(by_arrival) + [table.k_hi + 1]
-    usable = []
+    usable = []  # the usable starts at or before the last kt
+    late = (None, None, 0, (0,) * len(tv_idx))  # those after it, folded
     for kj, next_kj in zip(columns, columns[1:]):
         for ks in by_arrival[kj]:
-            insort(usable, ks)
+            if ks <= last:
+                insort(usable, ks)
+            else:
+                late = _fold(late, ks, kj, pair)
         if kj < first:
             continue
         width = next_kj - kj
-        dur = length = through = top = None
-        count = 0
+        agg, top = late, last + 1  # its cells add 0 whatever its top
         for ki in reversed(usable):
-            g = arrivals[ki] - ki
-            if dur is not None and g > dur:
-                continue
-            tab_length, tab_count, tab_through = pair(ki)
-            if dur is None or g < dur:
-                dur = g
-            elif tab_length > length:
-                continue
-            elif tab_length == length:
-                tab_count += count
-                tab_through = tuple(map(add, through, tab_through))
-            if count:
-                add_cells(count, through, (top - ki) * width)
-            length, count, through, top = (tab_length, tab_count,
-                                           tab_through, ki)
-        if count:
-            add_cells(count, through, (top - k_lo + 1) * width)
+            new = _fold(agg, ki, arrivals[ki], pair)
+            if new is not agg:
+                add_cells(agg, (top - ki) * width)
+                agg, top = new, ki
+        add_cells(agg, (top - k_lo + 1) * width)
     return [sum((Fraction(v, c) for c, v in acc.items()), Fraction(0))
             for acc in sums]
+
+
+def _reach_scans(table, u):
+    """{ks: _reach_scan(table, u, ks)} over the table, with one search per
+    run of grid indices that share a snapshot.  Where the snapshot at ks is
+    the one at ks + 1, the scan from ks starts from the same reach set of u,
+    and ks + 1 is no change index (a change is an index whose snapshot
+    differs from the one before), so the same changes follow and grow the
+    same sets at the same indices: the two scans differ only in the arrival
+    of that first reach set, ks instead of ks + 1.  Every later arrival is
+    a change index after ks + 1."""
+    scans = {}
+    for ks in range(table.k_hi, table.k_lo - 1, -1):
+        if ks < table.k_hi and table.graphs[ks] is table.graphs[ks + 1]:
+            scans[ks] = {y: ks if ka == ks + 1 else ka
+                         for y, ka in scans[ks + 1].items()}
+        else:
+            scans[ks] = _reach_scan(table, u, ks)
+    return scans
 
 
 def _grid_sums(stream, tvs, grid, lo, hi, dests, pairs):
     """Riemann-sum estimates, one per temporal node tv of tvs, of the sum of
     C_tv(u, w) over each node u and w of dests[u], on the grid over [lo,
-    hi] whose cell bound counts `pairs` node pairs.  One reach scan per
-    source and first crossing serves all its pairs and queries.
+    hi] whose cell bound counts `pairs` node pairs.  One set of reach scans
+    per source serves all its pairs and queries.
 
     A path counted through (kt, v) is at v at index kt: its source reaches
     (kt, v) on [k_lo, kt], the back closure of (kt, v), and (kt, v) reaches
     its destination on [kt, k_hi], the fwd closure; this holds for a path
     that starts at (kt, v) or ends there too.  So only the sources in some
     back closure are scanned, and only their pairs (u, w) with w in the fwd
-    closure of a query whose back closure holds u: every other pair, and a
+    closure of a query whose back closure holds u.  Such a path also starts
+    at some first crossing ks <= kt and, since it is counted, arrives at w
+    at arrivals[ks] >= kt, the earliest arrival from ks (every counted path
+    from ks is a fastest one).  So a pair none of whose starts spans one of
+    those queried kt this way is skipped too.  Every pair skipped, and a
     pair (u, u), adds 0 to every estimate."""
     for tv in tvs:
         stream.check_temporal_node(tv)
     table = _GridTable(stream, grid, lo, hi, pairs)
     tv_idx = [(grid.index(tv.time), tv.node) for tv in tvs]
-    through = [_through(table, kt, v) for kt, v in tv_idx]
+    through = [(kt, *_through(table, kt, v)) for kt, v in tv_idx]
     totals = [Fraction(0)] * len(tvs)
     for u, ws in dests.items():
-        ends = set().union(*(fwd for back, fwd in through if u in back))
-        ws = [w for w in ws if w in ends and w != u]
-        if not ws:
+        queries = [(kt, fwd) for kt, back, fwd in through if u in back]
+        ends = {w: [kt for kt, fwd in queries if w in fwd]
+                for w in ws if w != u}
+        ends = {w: kts for w, kts in ends.items() if kts}
+        if not ends:
             continue
-        scans = {ks: _reach_scan(table, u, ks)
-                 for ks in range(table.k_lo, table.k_hi + 1)}
-        for w in ws:
+        scans = _reach_scans(table, u)
+        for w, kts in ends.items():
             arrivals = {ks: scan[w] for ks, scan in scans.items()
                         if w in scan}
-            part = _grid_contributions(table, u, w, arrivals, tv_idx)
-            totals = [a + b for a, b in zip(totals, part)]
+            if any(ks <= kt <= ka for ks, ka in arrivals.items()
+                   for kt in kts):
+                part = _grid_contributions(table, u, w, arrivals, tv_idx)
+                totals = [a + b for a, b in zip(totals, part)]
     cell = grid.step * grid.step
     return [t * cell for t in totals]
 
 
 def grid_contribution(stream, u, w, tv, grid, window=None):
     """Riemann-sum estimate of C_tv(u, w), the one-pair case of the scan of
-    grid_betweenness; converges as the step shrinks."""
+    grid_betweenness; converges as the step shrinks.  A window [lo, hi]
+    needs lo <= hi; a zero-length one gives 0."""
     for node in (u, w):
         if node not in stream.nodes:
             raise GridError("unknown node %r" % node)
     lo, hi = (stream.alpha, stream.omega) if window is None else window
+    if _exact(lo) > _exact(hi):
+        raise GridError("window [%s, %s] starts after it ends" % (lo, hi))
     return _grid_sums(stream, [tv], grid, lo, hi, {u: [w]}, 1)[0]
 
 

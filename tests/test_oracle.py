@@ -22,7 +22,12 @@ from linkstream import (
     parse_stream,
     vsp,
 )
-from linkstream.oracle import _GridTable, _pair_counts, _reach_scan
+from linkstream.oracle import (
+    _GridTable,
+    _pair_counts,
+    _reach_scan,
+    _reach_scans,
+)
 
 from conftest import random_stream, reversed_stream, seeded
 from test_betweenness import with_late_and_isolated_nodes
@@ -175,6 +180,14 @@ class TestFastest:
         grid = GridSpec(Fraction(1))
         assert grid_fastest(demo, tn(3, "a"), "e", grid, arrive_by=Q(8)) is None
 
+    def test_arrive_by_before_start(self, demo):
+        # an empty range is no error for the path entry points
+        grid = GridSpec(Fraction(1))
+        assert grid_fastest(demo, tn(10, "a"), "e", grid, arrive_by=Q(5)) \
+            is None
+        assert grid_count_shortest(demo, tn(10, "a"), tn(5, "e"), grid) == \
+            (None, 0)
+
     def test_unknown_node(self, demo):
         with pytest.raises(GridError):
             grid_fastest(demo, tn(0, "a"), "z", GridSpec(Fraction(1)))
@@ -227,6 +240,21 @@ class TestContribution:
                            match="cannot convert 0.0 to an exact rational"):
             grid_contribution(demo, "a", "e", tn(Q(9, 2), "c"),
                               GridSpec(Fraction(1, 8)), window=(0.0, 16.0))
+
+    def test_reversed_window_rejected(self, demo, monkeypatch):
+        def no_scan(*args):
+            raise AssertionError("scanned a reversed window")
+
+        monkeypatch.setattr(linkstream.oracle, "_GridTable", no_scan)
+        with pytest.raises(GridError, match=r"window \[16, 0\] starts after"):
+            grid_contribution(demo, "a", "e", tn(Q(9, 2), "c"),
+                              GridSpec(Fraction(1, 8)), window=(Q(16), Q(0)))
+
+    def test_zero_length_window_is_zero(self, demo):
+        for t in (Q(9, 2), Q(16)):
+            assert grid_contribution(demo, "a", "e", tn(Q(9, 2), "c"),
+                                     GridSpec(Fraction(1, 8)),
+                                     window=(t, t)) == 0
 
 
 class TestBetweenness:
@@ -386,33 +414,82 @@ def pruning_case(make, seed):
     return stream, tvs, GridSpec(step)
 
 
+def late_case(make, seed):
+    """pruning_case's stream and grid, with queries at different times
+    before omega: at alpha, at two probe times before the middle one, and
+    at the middle one, which is the last; the usable starts after it have
+    through counts 0 and are folded into one aggregate."""
+    stream, _, grid = pruning_case(make, seed)
+    rng = seeded(seed)
+    bounds = sorted({stream.alpha, stream.omega, *stream.event_times()})
+    mids = [a + Q(b - a, 2) for a, b in zip(bounds, bounds[1:])]
+    times = sorted({*bounds, *mids})
+    last = times[len(times) // 2]
+    early = [t for t in times if t < last]
+    linked = [v for v in stream.nodes if v != "y"]
+    tvs = [TemporalNode(t, rng.choice(linked))
+           for t in [stream.alpha, *rng.sample(early, 2), last]]
+    return stream, tvs, grid
+
+
+def early_case(make, seed):
+    """pruning_case's stream and grid, with every node queried at alpha and
+    at the first event time: nearly every usable start is a late one."""
+    stream, _, grid = pruning_case(make, seed)
+    first = min(stream.event_times())
+    return stream, [TemporalNode(t, v) for t in (stream.alpha, first)
+                    for v in stream.nodes], grid
+
+
+def long_link_case(make):
+    """One link from 1/400 of the window to its end, on 801 grid points, as
+    an int stream or on the quarter lattice; queries at its first instant
+    and just after.  Every start arrives at once, so each column holds all
+    the starts before it, nearly all of them late ones."""
+    end, start, step = (400, 1, Fraction(1, 2)) if make is int_stream \
+        else (Q(100), Q(1, 4), Fraction(1, 8))
+    stream = LinkStream(end * 0, end, ["a", "b"], {("a", "b"): [(start, end)]})
+    return stream, [TemporalNode(start, "a"),
+                    TemporalNode(2 * start, "b")], GridSpec(step)
+
+
+def assert_matches_unpruned_scan(stream, tvs, grid, monkeypatch):
+    """grid_betweenness equals the sum of the unpruned scan over every pair,
+    and every pair it skips, which it returns, has all-zero reference
+    sums."""
+    ref = reference_pairs(stream, tvs, grid)
+    scanned = set()
+    walk = linkstream.oracle._grid_contributions
+
+    def recorded(table, u, w, arrivals, tv_idx):
+        scanned.add((u, w))
+        return walk(table, u, w, arrivals, tv_idx)
+
+    monkeypatch.setattr(linkstream.oracle, "_grid_contributions", recorded)
+    got = grid_betweenness(stream, tvs, grid)
+    cell = grid.step * grid.step
+    assert got == [sum(col, Fraction(0)) * cell for col in zip(*ref.values())]
+    skipped = set(ref) - scanned
+    for p in skipped:
+        assert ref[p] == [0] * len(tvs), p
+    return skipped
+
+
+MAKES = pytest.mark.parametrize("make", [int_stream, quarter_stream],
+                                ids=["int", "quarter"])
+
+
 class TestPruning:
-    @pytest.mark.parametrize("make", [int_stream, quarter_stream],
-                             ids=["int", "quarter"])
+    @MAKES
     @pytest.mark.parametrize("seed", range(10))
     def test_betweenness_matches_unpruned_scan(self, make, seed,
                                                monkeypatch):
         stream, tvs, grid = pruning_case(make, 1500 + seed)
-        ref = reference_pairs(stream, tvs, grid)
-        scanned = set()
-        walk = linkstream.oracle._grid_contributions
+        skipped = assert_matches_unpruned_scan(stream, tvs, grid, monkeypatch)
+        assert {(u, "y") for u in stream.nodes if u != "y"} <= skipped
+        assert {("y", w) for w in stream.nodes if w != "y"} <= skipped
 
-        def recorded(table, u, w, arrivals, tv_idx):
-            scanned.add((u, w))
-            return walk(table, u, w, arrivals, tv_idx)
-
-        monkeypatch.setattr(linkstream.oracle, "_grid_contributions",
-                            recorded)
-        got = grid_betweenness(stream, tvs, grid)
-        cell = grid.step * grid.step
-        assert got == [sum(col, Fraction(0)) * cell for col in zip(*ref.values())]
-        skipped = set(ref) - scanned
-        assert {p for p in ref if "y" in p} <= skipped
-        for p in skipped:
-            assert ref[p] == [0] * len(tvs), p
-
-    @pytest.mark.parametrize("make", [int_stream, quarter_stream],
-                             ids=["int", "quarter"])
+    @MAKES
     @pytest.mark.parametrize("seed", range(3))
     def test_contribution_matches_unpruned_scan(self, make, seed):
         stream, tvs, grid = pruning_case(make, 1500 + seed)
@@ -422,6 +499,32 @@ class TestPruning:
             for tv, value in zip(tvs, sums):
                 assert grid_contribution(stream, u, w, tv, grid) == \
                     value * cell, (u, w, tv)
+
+    @MAKES
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("case", [late_case, early_case],
+                             ids=["late", "early"])
+    def test_late_starts_match_unpruned_scan(self, case, make, seed,
+                                             monkeypatch):
+        stream, tvs, grid = case(make, 1700 + seed)
+        assert_matches_unpruned_scan(stream, tvs, grid, monkeypatch)
+
+    @MAKES
+    def test_long_link_matches_unpruned_scan(self, make, monkeypatch):
+        stream, tvs, grid = long_link_case(make)
+        assert_matches_unpruned_scan(stream, tvs, grid, monkeypatch)
+
+    @MAKES
+    @pytest.mark.parametrize("seed", range(4))
+    def test_shared_reach_scans(self, make, seed):
+        # one search per run of indices that share a snapshot gives the
+        # scans of a search from every index
+        stream, _, grid = pruning_case(make, 1500 + seed)
+        table = _GridTable(stream, grid, stream.alpha, stream.omega)
+        for u in stream.nodes:
+            assert _reach_scans(table, u) == {
+                ks: _reach_scan(table, u, ks)
+                for ks in range(table.k_lo, table.k_hi + 1)}
 
 
 class TestEntryPointsAgree:
