@@ -2,6 +2,7 @@
 profile sampler evaluating betweenness on a regular time grid for all nodes.
 """
 
+from itertools import chain, groupby
 from typing import NamedTuple
 
 from .contribution import _anchor, _value, _x_max, _y_min
@@ -67,9 +68,8 @@ def profile(stream, samples_per_node, threads=1):
       step crosses t_{k+1} - t with terms that need d(v,x) + dp = d(v,w'),
       so dp <= ecc_k(v) too; later steps are linear in its result.
 
-    A gap with more than D + 2 samples is evaluated at D + 1 spread samples,
-    interpolated exactly in Newton form, and checked at one more sample;
-    should the check fail, every sample of that gap is evaluated directly.
+    The sample times are walked once, in order, in runs of one slot each,
+    and a gap's run is extended by forward differences (`_gap_values`).
 
     The evaluations run on an integer-time twin of the stream whose lattice
     also holds every sample time (`LinkStream.lattice(times)`), and each
@@ -85,18 +85,15 @@ def profile(stream, samples_per_node, threads=1):
         for i in range(samples_per_node + 1)
     ]
     twin, scale = stream.lattice(times)
-    ticks = {t: on_lattice(t, scale) for t in times}
-    by_slot = {}  # slot -> the distinct sample ticks in it, ascending
-    for tick in ticks.values():
-        by_slot.setdefault(twin.slot(tick), []).append(tick)
+    ticks = [on_lattice(t, scale) for t in times]
+    runs = [(k, list(run)) for k, run in groupby(ticks, twin.slot)]
     norm = scale * scale
     samples = []
     for v in twin.nodes:
-        values = {}
-        for k, ts in by_slot.items():
-            values.update(zip(ts, _gap_values(twin, k, v, ts)))
-        samples.extend((TemporalNode(t, v), values[ticks[t]] / norm)
-                       for t in times)
+        values = chain.from_iterable(_gap_values(twin, k, v, run)
+                                     for k, run in runs)
+        samples.extend((TemporalNode(t, v), value / norm)
+                       for t, value in zip(times, values))
     return BetweennessProfile(samples)
 
 
@@ -106,37 +103,33 @@ def _direct(stream, v, ts):
 
 def _degree_bound(stream, k, v):
     """Degree of B(., v) on the open gap of slot k is at most this (any
-    bound serves an event slot, which holds one sample)."""
+    bound serves an event slot, whose run holds one time, maybe repeated)."""
     return 2 * max(stream.bfs(k, v).dist.values())
 
 
 def _gap_values(stream, k, v, ts):
-    """Exact betweenness of (t, v) for the ascending times ts, all in slot
-    k.  An event slot holds one time, which is evaluated directly."""
+    """Exact betweenness of (t, v) for the ascending, equally spaced times
+    ts of slot k (equal times included, as in a single-instant window).
+
+    With D the degree bound, a run of at most D + 2 times is evaluated
+    directly.  A longer one is evaluated at its first D + 1 times, and
+    their forward differences extend it to each later time with D
+    additions: the D-th difference of a polynomial of degree D on equally
+    spaced times is constant.  The extended value at the last time is
+    checked against a direct evaluation there; should they differ, every
+    time of the run is evaluated directly."""
     degree = _degree_bound(stream, k, v)
     if len(ts) <= degree + 2:
         return _direct(stream, v, ts)
-    xs = [ts[j * (len(ts) - 1) // max(degree, 1)] for j in range(degree + 1)]
-    rest = [t for t in ts if t not in xs]
-    check = rest[len(rest) // 2]
-    coef = _newton_coefficients(xs, _direct(stream, v, xs))
-    if _newton_value(coef, xs, check) != _direct(stream, v, [check])[0]:
+    values = _direct(stream, v, ts[:degree + 1])
+    diffs, row = [], values  # diffs[j]: j-th difference at the last value
+    while row:
+        diffs.append(row[-1])
+        row = [b - a for a, b in zip(row, row[1:])]
+    for _ in ts[degree + 1:]:
+        for j in range(degree - 1, -1, -1):
+            diffs[j] += diffs[j + 1]
+        values.append(diffs[0])
+    if values[-1] != betweenness(stream, TemporalNode(ts[-1], v)):
         return _direct(stream, v, ts)
-    return [_newton_value(coef, xs, t) for t in ts]
-
-
-def _newton_coefficients(xs, ys):
-    """Divided differences f[x0], f[x0,x1], ..., f[x0..xn]."""
-    coef = list(ys)
-    for j in range(1, len(xs)):
-        for i in range(len(xs) - 1, j - 1, -1):
-            coef[i] = (coef[i] - coef[i - 1]) / (xs[i] - xs[i - j])
-    return coef
-
-
-def _newton_value(coef, xs, t):
-    """The Newton form with coefficients coef on the nodes xs, at t."""
-    acc = coef[-1]
-    for c, x in zip(reversed(coef[:-1]), reversed(xs[:-1])):
-        acc = acc * (t - x) + c
-    return acc
+    return values

@@ -49,10 +49,13 @@ def _scan(stream, u, w, s, a, ll, forward, d_anchor):
     fastest paths accumulated so far.  The direction picks the pair order,
     the boundary coordinate, the gap side and the window end.  `d_anchor`
     is the anchor's distance; None asks the sweep for it, which also
-    validates the anchor's temporal nodes."""
+    validates the anchor's temporal nodes, and then the anchor must be a
+    pair of `ll` or an instantaneous (s, s) with w joined to u at s."""
     if d_anchor is None:
         d_anchor = vsp(stream, TemporalNode(s, u), TemporalNode(a, w)).distance
-        if d_anchor is None:
+        i = bisect_left(ll.starts, s)
+        listed = i < len(ll.starts) and (ll.starts[i], ll.arrivals[i]) == (s, a)
+        if d_anchor is None or not (listed or s == a):
             raise StreamError("(%s,%s) is not a latency pair from %r to %r"
                               % (s, a, u, w))
     starts, arrivals = ll.starts, ll.arrivals

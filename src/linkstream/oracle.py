@@ -242,14 +242,9 @@ def grid_fastest(stream, src, dst_node, grid, arrive_by=None):
     table = _GridTable(stream, grid, src.time, limit)
     if src.node == dst_node:
         return Fraction(0)
-    best = None
-    for ks in range(table.k_lo, table.k_hi + 1):
-        ka = _reach_scan(table, src.node, ks).get(dst_node)
-        if ka is not None and (best is None or ka - ks < best):
-            best = ka - ks
-            if best == 0:
-                break
-    return None if best is None else best * grid.step
+    durations = [scan[dst_node] - ks for ks, scan
+                 in _reach_scans(table, src.node).items() if dst_node in scan]
+    return min(durations) * grid.step if durations else None
 
 
 # -- contribution -------------------------------------------------------------

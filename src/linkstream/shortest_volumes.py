@@ -183,6 +183,8 @@ def _vsp(stream, i, u, j, v):
 
 def reachable(stream, src, dst):
     """True iff some path leads from src to dst (the empty path counts)."""
+    stream.check_temporal_node(src)
+    stream.check_temporal_node(dst)
     if src.time > dst.time:
         return False
-    return vsp(stream, src, dst).distance is not None
+    return _vsp(stream, *src, *dst).distance is not None

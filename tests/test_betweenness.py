@@ -11,6 +11,7 @@ from linkstream import (
     betweenness,
     contribution,
     latency_lists,
+    parse_stream,
     profile,
 )
 
@@ -167,6 +168,29 @@ def direct(stream, prof):
     return [(tv, betweenness(fresh, tv)) for tv, _ in prof.samples]
 
 
+@pytest.fixture
+def evaluations(monkeypatch):
+    """The temporal nodes that `profile` evaluates directly, in order."""
+    calls = []
+    evaluate = per_gap.betweenness
+
+    def counted(stream, tv):
+        calls.append(tv)
+        return evaluate(stream, tv)
+
+    monkeypatch.setattr(per_gap, "betweenness", counted)
+    return calls
+
+
+# the demo, and the first seeds whose 40-sample profile has a gap of three
+# or more samples on which the betweenness of some node varies
+VARYING_GAPS = [
+    (None, None),
+    *((int_stream, seed) for seed in (34, 40, 50)),
+    *((quarter_stream, seed) for seed in (38, 63, 75)),
+]
+
+
 class TestPerGapProfile:
     def test_matches_direct_evaluation(self):
         rng = seeded(505)
@@ -189,36 +213,57 @@ class TestPerGapProfile:
         assert seen == {"event time", "direct gap", "interpolated gap"}
 
     def test_forced_fallback_stays_exact(self, demo, monkeypatch):
-        eccentric = [
-            k for k in range(0, 2 * len(demo.event_times()) + 1, 2)
-            if any(max(demo.bfs(k, v).dist.values()) >= 1 for v in demo.nodes)
-        ]
-        assert eccentric
         monkeypatch.setattr(per_gap, "_degree_bound", lambda stream, k, v: 0)
-        prof = profile(demo, 40)
-        expected = direct(demo, prof)
-        assert prof.samples == expected
-        # some gap is not constant, so a degree-0 fit fails its check there
-        by_gap = {}
-        for tv, value in expected:
-            k = demo.slot(tv.time)
-            if not k & 1:
-                by_gap.setdefault((k, tv.node), set()).add(value)
-        assert any(len(values) > 1 for values in by_gap.values())
+        for make, seed in VARYING_GAPS:
+            stream = demo if make is None else make(seeded(seed))
+            prof = profile(stream, 40)
+            expected = direct(stream, prof)
+            assert prof.samples == expected, stream.serialize()
+            # some such gap is not constant, so a degree-0 fit fails its
+            # check at the gap's last sample
+            by_gap = {}
+            for tv, value in expected:
+                k = stream.slot(tv.time)
+                if not k & 1:
+                    by_gap.setdefault((k, tv.node), []).append(value)
+            assert any(len(values) > 2 and len(set(values)) > 1
+                       for values in by_gap.values())
 
-    def test_evaluations_grow_with_gaps(self, demo, monkeypatch):
-        calls = []
-        evaluate = per_gap.betweenness
+    @pytest.mark.parametrize("text", [
+        "5 5\na b 5 5\n",  # a single-instant window: one run of equal times
+        "0 10\na b 2 2\nb c 2 2\nb c 7 7\na c 9 9\n",  # instants only
+        "0 10\na b 10 10\n",  # one run over the open window [0, 10[
+    ])
+    @pytest.mark.parametrize("n", [1, 7, 40])
+    def test_degenerate_runs_match_direct_evaluation(self, text, n):
+        stream = parse_stream(text)
+        prof = profile(stream, n)
+        assert len(prof.samples) == len(stream.nodes) * (n + 1)
+        assert prof.samples == direct(stream, prof)
 
-        def counted(stream, tv):
-            calls.append(tv)
-            return evaluate(stream, tv)
-
-        monkeypatch.setattr(per_gap, "betweenness", counted)
+    def test_evaluations_grow_with_gaps(self, demo, evaluations):
         fresh = LinkStream(demo.alpha, demo.omega, demo.nodes, demo.presence)
         prof = profile(fresh, 1000)
         assert len(prof.samples) == 5005
-        assert len(calls) < 1000
+        assert len(evaluations) < 1000
+
+    @pytest.mark.parametrize("make,seed", VARYING_GAPS)
+    def test_no_check_fails_with_the_proved_bound(self, demo, evaluations,
+                                                  make, seed):
+        """Each run of a node's samples in one slot costs min(len, D + 2)
+        evaluations (D + 1 to start the differences, one check), with no
+        fallback to direct evaluation."""
+        stream = demo if make is None else make(seeded(seed))
+        stream = LinkStream(stream.alpha, stream.omega, stream.nodes,
+                            stream.presence)
+        prof = profile(stream, 1000 if make is None else 120)
+        per_slot = Counter(stream.slot(tv.time) for tv, _ in prof.samples
+                           if tv.node == stream.nodes[0])
+        expected = sum(min(count, per_gap._degree_bound(stream, k, v) + 2)
+                       for k, count in per_slot.items() for v in stream.nodes)
+        assert len(evaluations) == expected
+        if make is None:
+            assert expected == 341
 
 
 def with_late_and_isolated_nodes(stream):

@@ -95,8 +95,20 @@ class TestBoundaryLists:
             ]
 
     def test_non_latency_pair_rejected(self, demo, ll_ae):
-        with pytest.raises(StreamError):
-            prev_list(demo, "a", "e", Q(3), Q(10), ll_ae)
+        # (2,10) and (1,9) are reachable, but the list is (2,9), (9,16), ...;
+        # a is joined to c at 17/2 (link 8..9), off the event times, but
+        # not to e
+        t = Q(17, 2)
+        for scan in (prev_list, next_list):
+            for s, a in [(Q(3), Q(10)), (Q(2), Q(10)), (Q(1), Q(9)), (t, t)]:
+                with pytest.raises(StreamError, match="not a latency pair"):
+                    scan(demo, "a", "e", s, a, ll_ae)
+        # the instantaneous pair is accepted; the gap around 17/2 keeps the
+        # distance on both sides, so neither scan passes a boundary
+        ll = latency_lists(demo, "a")["c"]
+        assert (t, t) not in list(ll)
+        for scan in (prev_list, next_list):
+            assert scan(demo, "a", "c", t, t, ll).entries == []
 
 
 class TestCellRatio:

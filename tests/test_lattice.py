@@ -22,6 +22,7 @@ from linkstream import (
     parse_stream,
     prev_list,
     profile,
+    reachable,
     vsp,
 )
 
@@ -111,6 +112,8 @@ class TestLattice:
                                Q(1), Q(14)),
             lambda: latency(demo, TemporalNode(0.5, "a"), "e"),
             lambda: latency(demo, TemporalNode(Q(0), "a"), "e", arrive_by=20.5),
+            lambda: reachable(demo, TemporalNode(5.0, "a"), TemporalNode(Q(3), "c")),
+            lambda: reachable(demo, TemporalNode(Q(5), "a"), TemporalNode(3.0, "c")),
             lambda: prev_list(demo, "a", "e", 2.0, Q(9), ll),
             lambda: next_list(demo, "a", "e", Q(2), 9.0, ll),
             lambda: demo.graph_at(4.5),

@@ -76,6 +76,17 @@ class TestReachable:
         assert reachable(demo, tn(7, "c"), tn(7, "c"))
         assert not reachable(demo, tn(9, "a"), tn(5, "b"))
 
+    @pytest.mark.parametrize("src,dst", [
+        ((5, "zz"), (3, "c")),
+        ((5, "a"), (3, "zz")),
+        ((40, "a"), (3, "c")),
+        ((5, "a"), (-1, "c")),
+    ])
+    def test_invalid_nodes_rejected_before_time_order(self, demo, src, dst):
+        # the source is after the destination, so no path could lead there
+        with pytest.raises(StreamError):
+            reachable(demo, tn(*src), tn(*dst))
+
 
 class TestSweepProperties:
     def test_distance_monotone_in_arrival(self, demo):
