@@ -8,8 +8,11 @@ quarter times), queried at the window ends, the event times, the gap
 midpoints and the gap thirds; of `latency_lists` from every source, read
 after those queries (an int stream is its own twin, so these are the lists
 `betweenness` filled), and of `latency` from every node at every probe
-time to every node, on the same streams; of `vsp` from every node at
-alpha, at the event times and at the gap midpoints to every later probe
+time to every node, on the same streams; of `parse_stream` on the
+`serialize()` text of each of them (every field of the parsed stream and
+of its twin, and one `betweenness`), so that the parser is checked on all
+three time kinds and not only through the demo; of `vsp` from every node
+at alpha, at the event times and at the gap midpoints to every later probe
 time and node, on every other stream (of all three time kinds), so that
 the sweep is checked directly and not only through `betweenness`; of
 `contribution` and `cell_ratio` on a subset of them; of every entry point
@@ -82,6 +85,24 @@ def sweep_sources(stream):
     bounds = sorted({stream.alpha, stream.omega, *stream.event_times()})
     mids = {a + Fraction(b - a, 2) for a, b in zip(bounds, bounds[1:])}
     return sorted({stream.alpha, *stream.event_times(), *mids})
+
+
+def parse_outputs(ls, n, stream, times):
+    """(query, output) lines of `parse_stream` on the stream's `serialize()`
+    text: every field of the parsed stream and of its twin at its own L,
+    each time typed, and `betweenness` of the parsed stream at the middle
+    probe time and one node."""
+    parsed = ls.parse_stream(stream.serialize())
+    twin, scale = parsed.lattice()
+    for kind, part in (("S", parsed), ("T", twin)):
+        presence = tuple((pair, tuple(map(typed, ivs)))
+                         for pair, ivs in part.presence.items())
+        yield ((kind, n, typed(scale)),
+               "%s %s %s %s %s" % (typed(part.alpha), typed(part.omega), part.nodes,
+                                   presence, typed(tuple(part.event_times()))))
+    tv = ls.TemporalNode(times[len(times) // 2],
+                         parsed.nodes[n % len(parsed.nodes)])
+    yield ("SB", n, typed(tuple(tv))), typed(ls.betweenness(parsed, tv))
 
 
 def vsp_outputs(ls, n, stream, times):
@@ -180,6 +201,7 @@ def outputs(ls):
                 for w in stream.nodes:
                     yield (("D", n, typed(tuple(src)), w),
                            typed(ls.latency(stream, src, w)))
+        yield from parse_outputs(ls, n, stream, times)
         if n % VSP_EVERY == 0:
             yield from vsp_outputs(ls, n, stream, times)
         if n % ORACLE_EVERY == 0:

@@ -5,6 +5,7 @@ Subcommands: volumes, latencies, contrib, betweenness, profile.  Exit codes:
 """
 
 import argparse
+import functools
 import sys
 from fractions import Fraction
 
@@ -29,6 +30,7 @@ def _digits(text):
     return n
 
 
+@functools.cache  # built on the first call, then shared by every `run`
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="linkstream",

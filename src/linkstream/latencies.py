@@ -74,14 +74,16 @@ def _scan(stream, sources):
     """source -> node -> LatencyList for each source in the set `sources`,
     in one scan of the event times.  latest[w] maps each source u other
     than w to the index of the latest event time from which u reaches w so
-    far.  Each multi-node component at event time i merges the maps of its
-    members: a member behind the maximum m for a source gets the pair
-    (m, t), and m = i for a source inside.  The members then share the
-    merged map, a new dict never changed.  Members that still share a map
-    are merged as one: nothing has reached them since they were equalized
-    (a node is in one component at a time), so only the sources inside
-    move, each to (t, t).  That covers a component unchanged since the
-    previous event time."""
+    far.  Each component at event time i (`LinkStream.components`: an
+    unlinked node reaches no one) merges the maps of its members: a member
+    behind the maximum m for a source gets the pair (m, t), and m = i for a
+    source inside.  The members then share the merged map, a new dict
+    never changed.  Members that still share a map are merged as one:
+    nothing has reached them since they were equalized (a node is in one
+    component at a time), so only the sources inside move, each to (t, t).
+    When every member holds that one map, as in a component unchanged since
+    the previous event time, there is nothing to compare: those pairs are
+    emitted directly."""
     ev = stream._event_times
     latest = dict.fromkeys(stream.nodes, {})
     # node -> source -> the starts, and the arrivals, of its pairs so far
@@ -89,7 +91,19 @@ def _scan(stream, sources):
     arrivals = {w: {u: [] for u in sources} for w in stream.nodes}
     for i, t in enumerate(ev):
         for comp in stream.components(stream.slot(t)):
-            if len(comp) == 1:
+            inside = comp & sources
+            shared = latest[next(iter(comp))]
+            if all(latest[w] is shared for w in comp):
+                if inside:
+                    best = dict(shared)
+                    best.update(dict.fromkeys(inside, i))
+                    for w in comp:
+                        latest[w] = best
+                        sw, aw = starts[w], arrivals[w]
+                        for u in inside:
+                            if u != w:
+                                sw[u].append(t)
+                                aw[u].append(t)
                 continue
             groups = {}  # id of a map -> (the map, the members that hold it)
             for w in comp:
@@ -100,7 +114,7 @@ def _scan(stream, sources):
                 for u, k in held.items() - best.items():
                     if best.get(u, -1) < k:
                         best[u] = k
-            best.update(dict.fromkeys(comp & sources, i))
+            best.update(dict.fromkeys(inside, i))
             for held, members in maps:
                 behind = best.items() - held.items()
                 for w in members:

@@ -126,17 +126,20 @@ class _GridTable:
         resolve = {k_lo, k_hi}
         for e in map(grid.index, stream.event_times()):
             resolve.update((e, e + 1))
-        self.graphs = {}
-        for k in range(k_lo, k_hi + 1):
-            if k in resolve:
-                g = stream.graph_at(grid.time(k))
-            self.graphs[k] = g
-        self.live = {k: _has_edges(g) for k, g in self.graphs.items()}
+        # each resolved index starts a run of indices that share its snapshot
+        firsts = sorted(k for k in resolve if k_lo <= k <= k_hi)
+        self.graphs, self.live = {}, {}
         # a node set closed under the snapshot at k - 1 can only grow at k
         # when the snapshot changes there and has edges
-        self.changes = [k for k in range(k_lo + 1, k_hi + 1)
-                        if self.live[k]
-                        and self.graphs[k] is not self.graphs[k - 1]]
+        self.changes = []
+        g = None
+        for k, end in zip(firsts, firsts[1:] + [k_hi + 1]):
+            prev, g = g, stream.graph_at(grid.time(k))
+            live = _has_edges(g)
+            self.graphs.update(dict.fromkeys(range(k, end), g))
+            self.live.update(dict.fromkeys(range(k, end), live))
+            if live and prev is not None and g is not prev:
+                self.changes.append(k)
         self._searched = {}
 
     def cross(self, k, avail):
@@ -242,9 +245,13 @@ def grid_fastest(stream, src, dst_node, grid, arrive_by=None):
     table = _GridTable(stream, grid, src.time, limit)
     if src.node == dst_node:
         return Fraction(0)
-    durations = [scan[dst_node] - ks for ks, scan
-                 in _reach_scans(table, src.node).items() if dst_node in scan]
-    return min(durations) * grid.step if durations else None
+    best = None  # the shortest duration so far, in grid steps
+    for ks, scan in _reach_scans(table, src.node):
+        if dst_node in scan and (best is None or scan[dst_node] - ks < best):
+            best = scan[dst_node] - ks
+            if not best:  # none is shorter
+                break
+    return None if best is None else best * grid.step
 
 
 # -- contribution -------------------------------------------------------------
@@ -390,22 +397,22 @@ def _grid_contributions(table, u, w, arrivals, tv_idx):
 
 
 def _reach_scans(table, u):
-    """{ks: _reach_scan(table, u, ks)} over the table, with one search per
-    run of grid indices that share a snapshot.  Where the snapshot at ks is
-    the one at ks + 1, the scan from ks starts from the same reach set of u,
-    and ks + 1 is no change index (a change is an index whose snapshot
-    differs from the one before), so the same changes follow and grow the
-    same sets at the same indices: the two scans differ only in the arrival
-    of that first reach set, ks instead of ks + 1.  Every later arrival is
-    a change index after ks + 1."""
-    scans = {}
+    """(ks, _reach_scan(table, u, ks)) for each ks of the table, from k_hi
+    down, with one search per run of grid indices that share a snapshot;
+    only the last scan is kept.  Where the snapshot at ks is the one at
+    ks + 1, the scan from ks starts from the same reach set of u, and ks + 1
+    is no change index (a change is an index whose snapshot differs from
+    the one before), so the same changes follow and grow the same sets at
+    the same indices: the two scans differ only in the arrival of that
+    first reach set, ks instead of ks + 1.  Every later arrival is a change
+    index after ks + 1."""
+    scan = None
     for ks in range(table.k_hi, table.k_lo - 1, -1):
-        if ks < table.k_hi and table.graphs[ks] is table.graphs[ks + 1]:
-            scans[ks] = {y: ks if ka == ks + 1 else ka
-                         for y, ka in scans[ks + 1].items()}
+        if scan is not None and table.graphs[ks] is table.graphs[ks + 1]:
+            scan = {y: ks if ka == ks + 1 else ka for y, ka in scan.items()}
         else:
-            scans[ks] = _reach_scan(table, u, ks)
-    return scans
+            scan = _reach_scan(table, u, ks)
+        yield ks, scan
 
 
 def _grid_sums(stream, tvs, grid, lo, hi, dests, pairs):
@@ -438,7 +445,7 @@ def _grid_sums(stream, tvs, grid, lo, hi, dests, pairs):
         ends = {w: kts for w, kts in ends.items() if kts}
         if not ends:
             continue
-        scans = _reach_scans(table, u)
+        scans = dict(_reach_scans(table, u))
         for w, kts in ends.items():
             arrivals = {ks: scan[w] for ks, scan in scans.items()
                         if w in scan}

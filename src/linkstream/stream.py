@@ -13,11 +13,11 @@ read their graphs and tables by slot.
 """
 
 from bisect import bisect_left
-from math import lcm
+from math import gcd, lcm
 from typing import NamedTuple
 
 from .numbers import Q, as_q, on_lattice, parse_time
-from .static_graph import bfs_counts, connected_components
+from .static_graph import bfs_counts
 
 
 class StreamError(ValueError):
@@ -71,6 +71,14 @@ class IntervalSet:
         for b, e in self.intervals:
             yield b
             yield e
+
+    def _mapped(self, f):
+        """The set with every bound replaced by f(bound), for a strictly
+        increasing f, which keeps the intervals sorted, disjoint and apart:
+        nothing is sorted or merged again."""
+        ivs = IntervalSet.__new__(IntervalSet)
+        ivs.intervals = [(f(b), f(e)) for b, e in self.intervals]
+        return ivs
 
 
 class SnapshotGraph:
@@ -131,12 +139,27 @@ class LinkStream:
         for t in (alpha, omega, *times):
             if not isinstance(t, (int, Q)):
                 raise TypeError("cannot convert %r to an exact rational" % (t,))
-        self._event_times = sorted(times)
-        self._int_events = all(type(t) is int for t in self._event_times)
+        self._set_events(sorted(times))
+
+    @classmethod
+    def _of_parts(cls, alpha, omega, nodes, presence, event_times):
+        """The stream of parts that are already checked and normalized, as
+        `__init__` leaves them: sorted `nodes`, `presence` mapping ordered
+        pairs to non-empty IntervalSets inside [alpha, omega], and the sorted
+        distinct bounds of those sets as `event_times`."""
+        stream = cls.__new__(cls)
+        stream.alpha, stream.omega = alpha, omega
+        stream.nodes, stream.presence = nodes, presence
+        stream._set_events(event_times)
+        return stream
+
+    def _set_events(self, event_times):
+        self._event_times = event_times
+        self._int_events = all(type(t) is int for t in event_times)
         # Tables that do not depend on a query's source, filled on first use
         # and shared by every query.
         self._snapshots = None  # slot -> SnapshotGraph
-        self._components = {}  # slot -> connected components
+        self._components = {}  # slot -> components of two or more nodes
         self._bfs = {}  # (slot, node) -> BfsResult
         self._sweeps = {}  # (time, node) -> shortest_volumes.SweepTables
         self._latency_lists = {}  # source -> latencies.latency_lists result
@@ -212,10 +235,24 @@ class LinkStream:
         return self._snapshots[k]
 
     def components(self, k):
-        """Connected components of the graph of slot k (cached)."""
+        """The connected components of two or more nodes in the graph of
+        slot k (cached): a search starts only at a node with a link, so the
+        others cost nothing."""
         comps = self._components.get(k)
         if comps is None:
-            comps = connected_components(self.snapshot(k))
+            adj = self.snapshot(k).adjacency
+            comps, seen = [], set()
+            for start, nbrs in adj.items():
+                if not nbrs or start in seen:
+                    continue
+                comp, todo = {start}, [start]
+                while todo:
+                    for y in adj[todo.pop()]:
+                        if y not in comp:
+                            comp.add(y)
+                            todo.append(y)
+                seen |= comp
+                comps.append(comp)
             self._components[k] = comps
         return comps
 
@@ -251,8 +288,9 @@ class LinkStream:
     def lattice(self, times=()):
         """(twin, L): L is `scale(times)`, and twin is this stream with every
         time multiplied by L, so all its times are ints.  The twin of the
-        stream's own L is built once and kept; the stream is its own twin
-        when its times are ints already.  A twin for a larger L (from
+        stream's own L is built once and kept (`parse_stream` builds it with
+        the stream); the stream is its own twin when its times are ints
+        already.  A twin for a larger L (from
         `times`) is built anew on each call."""
         scale = self.scale(times)
         if scale != self._scale:
@@ -264,12 +302,12 @@ class LinkStream:
         return self._twin, scale
 
     def _scaled(self, scale):
-        presence = {
-            pair: [(on_lattice(b, scale), on_lattice(e, scale)) for b, e in ivs]
-            for pair, ivs in self.presence.items()
-        }
-        return LinkStream(on_lattice(self.alpha, scale),
-                          on_lattice(self.omega, scale), self.nodes, presence)
+        def tick(t):
+            return on_lattice(t, scale)
+
+        presence = {pair: ivs._mapped(tick) for pair, ivs in self.presence.items()}
+        return LinkStream._of_parts(tick(self.alpha), tick(self.omega), self.nodes,
+                                    presence, list(map(tick, self._event_times)))
 
     # -- serialization ----------------------------------------------------
 
@@ -294,45 +332,81 @@ def parse_stream(text):
     single node name `u`, declaring a node (which may have no link).
     `#` starts a comment.  Overlapping or touching intervals on one pair
     are merged silently.
+
+    Each distinct time literal is parsed once.  The intervals are checked,
+    merged and sorted as ints, in ticks of 1/L for L the lcm of the
+    literals' denominators; they make the stream's integer twin
+    (`LinkStream.lattice`) as they stand, and the stream takes the rational
+    time of each tick from its literal.  If merging drops every bound that
+    needs some factor of L, the stream's own L is smaller, and the twin is
+    left to `lattice`.
     """
-    header = None
-    raw = {}
-    nodes = set()
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        fields = line.split()
-        if header is None:
-            if len(fields) != 2:
-                raise StreamError("line %d: expected `alpha omega`" % lineno)
-            try:
-                header = (parse_time(fields[0]), parse_time(fields[1]))
-            except ValueError as exc:
-                raise StreamError("line %d: %s" % (lineno, exc)) from None
-            if header[0] > header[1]:
-                raise StreamError("line %d: alpha > omega" % lineno)
-            continue
-        if len(fields) == 1:
-            nodes.add(fields[0])
-            continue
-        if len(fields) != 4:
-            raise StreamError("line %d: expected `u v b e` or `u`" % lineno)
-        u, v = fields[0], fields[1]
-        if u == v:
-            raise StreamError("line %d: self-link on node %r" % (lineno, u))
-        try:
-            b, e = parse_time(fields[2]), parse_time(fields[3])
-        except ValueError as exc:
-            raise StreamError("line %d: %s" % (lineno, exc)) from None
-        if b > e:
-            raise StreamError("line %d: interval with b > e" % lineno)
-        if b < header[0] or e > header[1]:
-            raise StreamError("line %d: interval [%s, %s] outside [%s, %s]"
-                              % (lineno, b, e, *header))
-        nodes.update((u, v))
-        key = (u, v) if u < v else (v, u)
-        raw.setdefault(key, []).append((b, e))
+    header, links, nodes, values = None, [], set(), {}
+
+    def time(literal):
+        q = values.get(literal)
+        if q is None:
+            q = values[literal] = parse_time(literal)
+        return q
+
+    # Reading stops at the first line that fails a check of its own; the
+    # checks that compare the times of a link run on the ticks after it,
+    # so a failed one on an earlier line is reported first.
+    error = None
+    try:
+        for lineno, line in enumerate(text.splitlines(), start=1):
+            fields = line.split("#", 1)[0].split()
+            if not fields:
+                continue
+            if header is None:
+                if len(fields) != 2:
+                    raise StreamError("line %d: expected `alpha omega`" % lineno)
+                alpha, omega = time(fields[0]), time(fields[1])
+                if alpha > omega:
+                    raise StreamError("line %d: alpha > omega" % lineno)
+                header = alpha, omega
+            elif len(fields) == 1:
+                nodes.add(fields[0])
+            elif len(fields) != 4:
+                raise StreamError("line %d: expected `u v b e` or `u`" % lineno)
+            else:
+                u, v, b, e = fields
+                if u == v:
+                    raise StreamError("line %d: self-link on node %r" % (lineno, u))
+                time(b)
+                time(e)
+                links.append((lineno, (u, v) if u < v else (v, u), b, e))
+    except StreamError as exc:
+        error = exc
+    except ValueError as exc:  # a bad time literal
+        error = StreamError("line %d: %s" % (lineno, exc))
     if header is None:
-        raise StreamError("missing `alpha omega` header line")
-    return LinkStream(*header, nodes, raw)
+        raise error or StreamError("missing `alpha omega` header line")
+    scale = lcm(*(q.denominator for q in values.values()))
+    ticks = {lit: q.numerator * (scale // q.denominator) for lit, q in values.items()}
+    alpha, omega = (q.numerator * (scale // q.denominator) for q in header)
+    raw = {}
+    for lineno, key, b, e in links:
+        tb, te = ticks[b], ticks[e]
+        if tb > te:
+            raise StreamError("line %d: interval with b > e" % lineno)
+        if tb < alpha or te > omega:
+            raise StreamError("line %d: interval [%s, %s] outside [%s, %s]"
+                              % (lineno, values[b], values[e], *header))
+        raw.setdefault(key, []).append((tb, te))
+    if error is not None:
+        raise error
+    nodes = tuple(sorted(nodes.union(*raw)))  # and the two ends of each pair
+    presence = {key: IntervalSet(ivs) for key, ivs in raw.items()}
+    times = set()
+    for ivs in presence.values():
+        times.update(ivs.bounds())
+    events = sorted(times)
+    rational = {ticks[lit]: q for lit, q in values.items()}.__getitem__
+    stream = LinkStream._of_parts(
+        *header, nodes, {key: ivs._mapped(rational) for key, ivs in presence.items()},
+        list(map(rational, events)))
+    if gcd(scale, alpha, omega, *events) == 1:
+        stream._scale = scale
+        stream._twin = LinkStream._of_parts(alpha, omega, nodes, presence, events)
+    return stream

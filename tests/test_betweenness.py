@@ -15,7 +15,7 @@ from linkstream import (
     profile,
 )
 
-from conftest import random_stream, seeded
+from conftest import random_stream, relay_stream, seeded
 from test_lazy import int_stream, ticks
 from test_shared_state import quarter_stream
 
@@ -195,8 +195,13 @@ class TestPerGapProfile:
     def test_matches_direct_evaluation(self):
         rng = seeded(505)
         seen = set()
-        for case in range(8):
-            stream = with_isolated_node(random_stream(rng), 4 if case % 2 else 1)
+        # (relay case, gap slot) -> 0 when every node's values are constant
+        # there, 1 when they are at most linear, 2 otherwise, over the gaps
+        # of three or more of the 40 samples
+        varies = {}
+        for case in range(16):
+            make = random_stream if case < 8 else relay_stream
+            stream = with_isolated_node(make(rng), 4 if case % 2 else 1)
             for n in (1, 7, 40, 120):
                 prof = profile(stream, n)
                 assert prof.samples == direct(stream, prof), (n, stream.serialize())
@@ -210,7 +215,22 @@ class TestPerGapProfile:
                         seen.add("direct gap")
                     else:
                         seen.add("interpolated gap")
+                if make is relay_stream and n == 40:
+                    by_gap = {}
+                    for tv, value in prof.samples:
+                        k = stream.slot(tv.time)
+                        if not k & 1:
+                            by_gap.setdefault((k, tv.node), []).append(value)
+                    for (k, _), values in by_gap.items():
+                        if len(values) > 2:
+                            slope = [b - a for a, b in zip(values, values[1:])]
+                            shape = (len(set(values)) > 1) + (len(set(slope)) > 1)
+                            varies[case, k] = max(varies.get((case, k), 0), shape)
         assert seen == {"event time", "direct gap", "interpolated gap"}
+        # the interpolated gaps are not all constant polynomials, nor all
+        # linear ones
+        assert sum(map(bool, varies.values())) >= len(varies) / 5, varies
+        assert 2 in varies.values(), varies
 
     def test_forced_fallback_stays_exact(self, demo, monkeypatch):
         monkeypatch.setattr(per_gap, "_degree_bound", lambda stream, k, v: 0)

@@ -522,7 +522,7 @@ class TestPruning:
         stream, _, grid = pruning_case(make, 1500 + seed)
         table = _GridTable(stream, grid, stream.alpha, stream.omega)
         for u in stream.nodes:
-            assert _reach_scans(table, u) == {
+            assert dict(_reach_scans(table, u)) == {
                 ks: _reach_scan(table, u, ks)
                 for ks in range(table.k_lo, table.k_hi + 1)}
 

@@ -14,6 +14,7 @@ from linkstream import (
     parse_stream,
     parse_time,
 )
+from linkstream.numbers import on_lattice
 
 from conftest import DEMO_TEXT, random_stream, seeded
 
@@ -157,6 +158,175 @@ class TestParseStream:
         assert stream.segment_count() == 1
         with pytest.raises(StreamError, match="line 2"):
             parse_stream("0 10\na b 1\n")
+
+
+def reference_parse(text):
+    """(stream, twin, L) of `text` built without ticks: a LinkStream over
+    the `parse_time` value of every literal, its own L, and its twin a
+    LinkStream validated and normalized anew over the `on_lattice` ticks of
+    those times.  Reads well-formed text only."""
+    header, nodes, presence = None, set(), {}
+    for line in text.splitlines():
+        fields = line.split("#", 1)[0].split()
+        if not fields:
+            continue
+        if header is None:
+            header = [parse_time(f) for f in fields]
+        elif len(fields) == 1:
+            nodes.add(fields[0])
+        else:
+            u, v, b, e = fields
+            nodes.update((u, v))
+            key = (u, v) if u < v else (v, u)
+            presence.setdefault(key, []).append((parse_time(b), parse_time(e)))
+    stream = LinkStream(*header, nodes, presence)
+    scale = stream.scale()
+    twin = LinkStream(
+        on_lattice(stream.alpha, scale), on_lattice(stream.omega, scale),
+        stream.nodes,
+        {pair: [(on_lattice(b, scale), on_lattice(e, scale)) for b, e in ivs]
+         for pair, ivs in stream.presence.items()})
+    return stream, twin, scale
+
+
+def typed_parts(stream):
+    """Every field a parse fills, each time with its type, presence in
+    insertion order."""
+    def typed(t):
+        return type(t).__name__, t
+
+    return (typed(stream.alpha), typed(stream.omega), stream.nodes,
+            [(pair, [(typed(b), typed(e)) for b, e in ivs])
+             for pair, ivs in stream.presence.items()],
+            [typed(t) for t in stream.event_times()])
+
+
+def spellings(q):
+    """Literals that all parse to the rational q: p/q reduced and not,
+    signed, and, where they are exact, integer and decimal forms."""
+    n, d = q.numerator, q.denominator
+    forms = ["%d/%d" % (n, d), "%d/%d" % (3 * n, 3 * d)]
+    if n >= 0:
+        forms.append("+%d/%d" % (n, d))
+    if d == 1:
+        forms += [str(n), "%d.0" % n, "%d." % n]
+    for digits in range(1, 7):
+        if 10 ** digits % d == 0:
+            scaled = abs(n) * 10 ** digits // d
+            sign = "-" if n < 0 else ""
+            forms.append("%s%d.%0*d" % (sign, scaled // 10 ** digits, digits,
+                                        scaled % 10 ** digits))
+            break
+    return forms
+
+
+DENOMINATORS = (1, 1, 2, 4, 5, 3, 10, 999983, 2 ** 61 - 1)
+
+
+@st.composite
+def stream_texts(draw):
+    """Well-formed stream text: a few rationals, each written in drawn
+    spellings, as the window and as interval bounds on pairs of at most
+    four nodes (so repeated and touching bounds are frequent), with node
+    lines, comments and blank lines mixed in."""
+    values = sorted(set(draw(st.lists(
+        st.builds(Fraction, st.integers(-40, 40), st.sampled_from(DENOMINATORS)),
+        min_size=1, max_size=7))))
+
+    def lit(q):
+        return draw(st.sampled_from(spellings(q)))
+
+    lines = []
+    if draw(st.booleans()):
+        lines.append(draw(st.sampled_from(["", "# a comment", "   "])))
+    lines.append("%s %s" % (lit(values[0]), lit(values[-1])))
+    names = st.sampled_from("abcd")
+    index = st.integers(0, len(values) - 1)
+    for _ in range(draw(st.integers(0, 10))):
+        kind = draw(st.integers(0, 9))
+        if kind == 0:
+            lines.append(draw(names))
+        elif kind == 1:
+            lines.append(draw(st.sampled_from(["", "# note", "  # x y 1 2"])))
+        else:
+            u, v = draw(st.lists(names, min_size=2, max_size=2, unique=True))
+            i, j = sorted((draw(index), draw(index)))
+            line = "%s %s %s %s" % (u, v, lit(values[i]), lit(values[j]))
+            lines.append(line + draw(st.sampled_from(["", " # tail"])))
+    return "\n".join(lines) + "\n"
+
+
+class TestParseOnTicks:
+    @settings(max_examples=300, deadline=None, derandomize=True,
+              database=None)
+    @given(stream_texts())
+    def test_matches_reference_parse(self, text):
+        stream = parse_stream(text)
+        ref, ref_twin, scale = reference_parse(text)
+        assert typed_parts(stream) == typed_parts(ref)
+        twin, twin_scale = stream.lattice()
+        assert twin_scale == scale == stream.scale()
+        assert twin is not stream
+        assert typed_parts(twin) == typed_parts(ref_twin)
+        assert typed_parts(ref._scaled(scale)) == typed_parts(ref_twin)
+
+    def test_twin_is_built_at_parse_time(self):
+        stream = parse_stream("0 10\na b 1/4 3\nb c 0.5 7\n")
+        assert stream._twin is not None and stream._scale == 4
+        assert stream.lattice() == (stream._twin, 4)
+
+    def test_merged_away_denominator_leaves_the_twin_to_lattice(self):
+        # 1/3 is inside [0, 5] on the same pair: no time of the stream
+        # needs thirds, so its own L is 1, not the literals' 3
+        text = "0 10\na b 0 5\na b 1/3 2\n"
+        stream = parse_stream(text)
+        assert stream._twin is None
+        assert stream.lattice()[1] == stream.scale() == 1
+        ref, ref_twin, _ = reference_parse(text)
+        assert typed_parts(stream.lattice()[0]) == typed_parts(ref_twin)
+
+    def test_one_value_written_several_ways(self):
+        stream = parse_stream("0 10\na b 0.5 1\nc d 1/2 2/2\ne f +2/4 1.0\n")
+        assert stream.event_times() == [Q(1, 2), Q(1)]
+        assert all(type(t) is Fraction for t in stream.event_times())
+        assert stream.lattice()[0].event_times() == [1, 2]
+
+    @pytest.mark.parametrize("text,message", [
+        ("0 10\na b 3 1\n", "line 2: interval with b > e"),
+        ("0 10\na a 1 2\n", "line 2: self-link on node 'a'"),
+        ("0 10\na b one 2\n", "line 2: invalid time literal: 'one'"),
+        ("0 10\na b 1/0 2\n", "line 2: zero denominator in time literal: '1/0'"),
+        ("0 10\na b 5 12\n", "line 2: interval [5, 12] outside [0, 10]"),
+        ("0 10\na b -1/2 1\n", "line 2: interval [-1/2, 1] outside [0, 10]"),
+        ("0 10\na b 1\n", "line 2: expected `u v b e` or `u`"),
+        ("0 10\na b 1 2 3\n", "line 2: expected `u v b e` or `u`"),
+        ("# nothing\n", "missing `alpha omega` header line"),
+        ("", "missing `alpha omega` header line"),
+        ("0\n", "line 1: expected `alpha omega`"),
+        ("# c\n0 1 2\n", "line 2: expected `alpha omega`"),
+        ("0 1/0\n", "line 1: zero denominator in time literal: '1/0'"),
+        ("x 1\n", "line 1: invalid time literal: 'x'"),
+        ("10 0\n", "line 1: alpha > omega"),
+        ("0 10 # w\n\n# c\na b 11/2 12\n",
+         "line 4: interval [11/2, 12] outside [0, 10]"),
+        # with several bad lines, the first in file order is reported,
+        # whichever check each fails
+        ("10 0\na b x y\n", "line 1: alpha > omega"),
+        ("0 10\na b 3 1\na b x 2\n", "line 2: interval with b > e"),
+        ("0 10\na b x 2\na b 3 1\n", "line 2: invalid time literal: 'x'"),
+        ("0 10\nc d 1 2\na b 5 12\na a 1 2\n",
+         "line 3: interval [5, 12] outside [0, 10]"),
+        ("0 10\na b 1 2\na b 1\na b 9 3\n", "line 3: expected `u v b e` or `u`"),
+        ("0 10\na b 2 3\nc d 3 2\n", "line 3: interval with b > e"),
+        ("0 10\na b 1/3 x\na b 2 1\n", "line 2: invalid time literal: 'x'"),
+        ("0 10\na b 1/3 1\nc d 7 6\ne e 1 2\n", "line 3: interval with b > e"),
+        ("0 10\na b 1 2\nq\nc d 1/7 11\nc c 1 2\n",
+         "line 4: interval [1/7, 11] outside [0, 10]"),
+    ])
+    def test_bad_input(self, text, message):
+        with pytest.raises(StreamError) as info:
+            parse_stream(text)
+        assert str(info.value) == message
 
 
 class TestEventTimes:
