@@ -21,8 +21,10 @@ and every third of the sorted window ends, event times and gap midpoints:
 `grid_betweenness` at steps 1/8 and 1/16 (also with the nodes of one call
 at different probe times), and `grid_fastest` (with and without
 `arrive_by`), `grid_count_shortest` and a windowed `grid_contribution` at
-step 1/8, so that a change to the oracle's scans or grid table that moves
-an estimate changes the digest; and of
+step 1/8, and `grid_count_shortest` again at step 1/32, where the runs of
+grid indices with one snapshot are long, so that a change to the oracle's
+scans, grid table or run crossing that moves an estimate changes the
+digest; and of
 `profile(demo, 1000)`.  Each output is hashed with its query and the type
 of every number, so an int that turns into an equal Fraction changes the
 digest.
@@ -47,6 +49,7 @@ CONTRIB_EVERY = 6
 VSP_EVERY = 2  # every VSP_EVERY-th stream (all three time kinds) gets vsp
 ORACLE_EVERY = 20  # every ORACLE_EVERY-th stream (all three time kinds)
 ORACLE_STEPS = (Fraction(1, 8), Fraction(1, 16))  # gets the grid oracle
+LONG_RUN_STEP = Fraction(1, 32)  # and grid_count_shortest at this step too
 TIME_KINDS = {
     "int": lambda k: k,
     "fraction": Fraction,
@@ -128,7 +131,10 @@ def oracle_outputs(ls, n, stream):
     that probe time and every third later one; `grid_count_shortest` to
     every node at those times; and `grid_contribution` of every ordered
     pair at the node at that time next in the stream's order, over the
-    window from the middle probe time to omega."""
+    window from the middle probe time to omega.  At LONG_RUN_STEP, where
+    many grid indices share each snapshot, `grid_count_shortest` from every
+    node at every probe time to every node at that probe time and every
+    third later one."""
     bounds = sorted({stream.alpha, stream.omega, *stream.event_times()})
     mids = {a + Fraction(b - a, 2) for a, b in zip(bounds, bounds[1:])}
     times = sorted({*bounds, *mids})
@@ -167,6 +173,16 @@ def oracle_outputs(ls, n, stream):
                            typed(ls.grid_fastest(stream, src, w, grid,
                                                  arrive_by=t2)))
                     yield (("GS",) + query + (typed(tuple(dst)),),
+                           typed(ls.grid_count_shortest(stream, src, dst,
+                                                        grid)))
+    grid = ls.GridSpec(LONG_RUN_STEP)
+    for i, t in enumerate(probes):
+        for u in nodes:
+            src = ls.TemporalNode(t, u)
+            for t2 in probes[i::3]:
+                for w in nodes:
+                    dst = ls.TemporalNode(t2, w)
+                    yield (("GL", n, typed(tuple(src)), typed(tuple(dst))),
                            typed(ls.grid_count_shortest(stream, src, dst,
                                                         grid)))
 

@@ -36,6 +36,14 @@ class LatencyList:
                              % list(map(LatencyPair, starts, arrivals)))
         self.starts, self.arrivals = starts, arrivals
 
+    @classmethod
+    def _trusted(cls, starts, arrivals):
+        """The list of starts and arrivals that are componentwise strictly
+        increasing by construction, unchecked."""
+        ll = cls.__new__(cls)
+        ll.starts, ll.arrivals = starts, arrivals
+        return ll
+
     def __iter__(self):
         return map(LatencyPair, self.starts, self.arrivals)
 
@@ -83,7 +91,10 @@ def _scan(stream, sources):
     component at a time), so only the sources inside move, each to (t, t).
     When every member holds that one map, as in a component unchanged since
     the previous event time, there is nothing to compare: those pairs are
-    emitted directly."""
+    emitted directly.  Every list is componentwise strictly increasing as
+    built, so it is taken unchecked: a node gets at most one pair per
+    source at each event time, and only when the source's index has grown
+    past that of the node's last pair, which is m at that pair."""
     ev = stream._event_times
     latest = dict.fromkeys(stream.nodes, {})
     # node -> source -> the starts, and the arrivals, of its pairs so far
@@ -126,7 +137,7 @@ def _scan(stream, sources):
                             aw[u].append(t)
     for u in sources:
         starts[u][u], arrivals[u][u] = list(ev), list(ev)
-    return {u: {w: LatencyList(starts[w][u], arrivals[w][u])
+    return {u: {w: LatencyList._trusted(starts[w][u], arrivals[w][u])
                 for w in stream.nodes} for u in sources}
 
 

@@ -37,27 +37,35 @@ class GridSpec:
     """Uniform time grid of a given exact step; every event time and query
     time must be a whole multiple of the step."""
 
-    __slots__ = ("step",)
+    __slots__ = ("step", "_num", "_den")
 
     def __init__(self, step):
         step = _exact(step)
         if step <= 0:
             raise GridError("grid step must be > 0, got %s" % step)
         self.step = step
+        self._num, self._den = step.numerator, step.denominator
 
     def index(self, t):
-        k = _exact(t) / self.step
-        if k.denominator != 1:
+        """t / step, an int; computed on the numerators and denominators of
+        t and the step, so no rational is built."""
+        if not isinstance(t, (int, Fraction)):  # a float has no exact grid place
+            raise TypeError("cannot convert %r to an exact rational" % (t,))
+        k, rem = divmod(t.numerator * self._den, t.denominator * self._num)
+        if rem:
             raise GridError("time %s is not on the grid of step %s"
                             % (t, self.step))
-        return int(k)
+        return k
 
     def time(self, k):
         return k * self.step
 
     def check_stream(self, stream):
-        for t in [stream.alpha, stream.omega] + stream.event_times():
-            self.index(t)
+        """The grid index of each event time of the stream, in order, once
+        alpha and omega are checked to lie on the grid too."""
+        self.index(stream.alpha)
+        self.index(stream.omega)
+        return list(map(self.index, stream.event_times()))
 
 
 # -- local static-graph helpers (deliberately not shared with the pipeline) --
@@ -104,12 +112,15 @@ class _GridTable:
     """The snapshot at each grid index of [k_lo, k_hi], those of the times
     lo and hi, on a grid checked against the stream, resolved once and
     shared by every scan of one entry-point call, with the BFS of each
-    snapshot and node that its shortest-path steps have needed."""
+    snapshot and node that its shortest-path steps have needed.  `runs`
+    lists the runs of indices that share one snapshot, in order, as (first
+    index, end, graph, live): the run is [first, end)."""
 
-    __slots__ = ("k_lo", "k_hi", "graphs", "live", "changes", "_searched")
+    __slots__ = ("k_lo", "k_hi", "graphs", "live", "runs", "changes",
+                 "_searched")
 
     def __init__(self, stream, grid, lo, hi, pairs=0):
-        grid.check_stream(stream)
+        events = grid.check_stream(stream)
         k_lo, k_hi = grid.index(lo), grid.index(hi)
         points = k_hi - k_lo + 1
         if points > MAX_GRID_POINTS:
@@ -124,11 +135,11 @@ class _GridTable:
         # the snapshot changes only at an event time and just after it; the
         # two ends are resolved too, which checks them against the window
         resolve = {k_lo, k_hi}
-        for e in map(grid.index, stream.event_times()):
-            resolve.update((e, e + 1))
+        resolve.update(events)
+        resolve.update(e + 1 for e in events)
         # each resolved index starts a run of indices that share its snapshot
         firsts = sorted(k for k in resolve if k_lo <= k <= k_hi)
-        self.graphs, self.live = {}, {}
+        self.graphs, self.live, self.runs = {}, {}, []
         # a node set closed under the snapshot at k - 1 can only grow at k
         # when the snapshot changes there and has edges
         self.changes = []
@@ -136,11 +147,18 @@ class _GridTable:
         for k, end in zip(firsts, firsts[1:] + [k_hi + 1]):
             prev, g = g, stream.graph_at(grid.time(k))
             live = _has_edges(g)
+            self.runs.append((k, end, g, live))
             self.graphs.update(dict.fromkeys(range(k, end), g))
             self.live.update(dict.fromkeys(range(k, end), live))
             if live and prev is not None and g is not prev:
                 self.changes.append(k)
         self._searched = {}
+
+    def _search(self, g, x):
+        got = self._searched.get((g, x))
+        if got is None:
+            got = self._searched[(g, x)] = _static_dist_counts(g, x)
+        return got
 
     def cross(self, k, avail):
         """`avail` (node -> (length, count) of the shortest paths so far)
@@ -152,14 +170,50 @@ class _GridTable:
         g = self.graphs[k]
         out = dict(avail)
         for x, (lx, cx) in avail.items():
-            got = self._searched.get((g, x))
-            if got is None:
-                got = self._searched[(g, x)] = _static_dist_counts(g, x)
-            dist, count = got
+            dist, count = self._search(g, x)
             for y, dy in dist.items():
                 if dy:
                     _keep_shortest(out, y, lx + dy, cx * count[y])
         return out
+
+    def cross_run(self, k, r, avail):
+        """`avail` crossed at the r grid indices k, ..., k + r - 1, which
+        share one snapshot: `cross` applied r times, in closed form.
+
+        The first crossing settles the lengths L.  After it, every node that
+        a node x of the map reaches in the snapshot is in the map, with L[y]
+        <= L[x] + d(x, y) (a path to x and on to y is one to y), so no later
+        crossing finds a shorter path; it only adds counts, C -> C(I + N),
+        where N[x][y] = sigma(x, y), the number of shortest x-y paths in the
+        snapshot, if x != y and L[x] + d(x, y) = L[y], and 0 otherwise.  A
+        non-zero N[x][y] has L[y] > L[x], so N^i = 0 once i > max L - min
+        L: N is nilpotent.  So r crossings give C_1 (I + N)^(r - 1) = C_1
+        sum_i binom(r - 1, i) N^i, with C_1 the counts after the first
+        crossing, a sum of at most max L - min L + 1 non-zero terms.  The
+        searches are those of r single crossings: one from each node before
+        the first crossing and, when r > 1, one from each node after it."""
+        out = self.cross(k, avail)
+        if r == 1 or out is avail:
+            return out
+        g = self.graphs[k]
+        tight = {}  # x -> [(y, N[x][y])] over the non-zero entries
+        for x, (lx, _) in out.items():
+            dist, count = self._search(g, x)
+            tight[x] = [(y, count[y]) for y, dy in dist.items()
+                        if dy and lx + dy == out[y][0]]
+        total = {x: c for x, (_, c) in out.items()}
+        term, binom = total, 1  # C_1 N^i, and binom(r - 1, i), at i = 0
+        for i in range(1, r):
+            nxt = {}
+            for x, c in term.items():
+                for y, sigma in tight[x]:
+                    nxt[y] = nxt.get(y, 0) + c * sigma
+            if not nxt:
+                break
+            term, binom = nxt, binom * (r - i) // i
+            for y, c in term.items():
+                total[y] += binom * c
+        return {x: (lx, total[x]) for x, (lx, _) in out.items()}
 
 
 def _closure(table, v, ks):
@@ -217,8 +271,8 @@ def grid_count_shortest(stream, src, dst, grid):
     if table.k_lo > table.k_hi:
         return (None, 0)
     avail = {src.node: (0, 1)}
-    for k in range(table.k_lo, table.k_hi + 1):
-        avail = table.cross(k, avail)
+    for k, end, _, _ in table.runs:
+        avail = table.cross_run(k, end - k, avail)
     return avail.get(dst.node, (None, 0))
 
 

@@ -199,9 +199,16 @@ class LinkStream:
     def slot(self, t):
         """Index of the slot holding time t: 2i+1 at event time i, 2i on the
         open gap before it.  alpha and omega off the event times lie in the
-        first and the last gap."""
-        ev = self._event_times
-        lo, hi = self.int_bounds(t)
+        first and the last gap.  A Fraction time on a stream with a twin is
+        placed among the twin's int event ticks, as t * L between the two
+        ints around it."""
+        if self._twin is not None and type(t) is Q:
+            ev = self._twin._event_times
+            lo, rem = divmod(t.numerator * self._scale, t.denominator)
+            hi = lo + (rem != 0)
+        else:
+            ev = self._event_times
+            lo, hi = self.int_bounds(t)
         i = bisect_left(ev, hi)
         return 2 * i + 1 if i < len(ev) and ev[i] == lo else 2 * i
 

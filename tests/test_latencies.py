@@ -1,4 +1,5 @@
 from fractions import Fraction
+from operator import lt
 
 import pytest
 
@@ -23,8 +24,16 @@ from linkstream import (
 from linkstream import latencies
 from linkstream.latencies import _lists, _scan
 
-from conftest import DEMO_TEXT, random_stream, reversed_stream, seeded
+from conftest import (DEMO_TEXT, random_stream, relay_stream,
+                      reversed_stream, seeded)
 from test_shared_state import quarter_stream
+
+
+SCAN_STREAMS = {
+    "integer": lambda rng: random_stream(rng, max_segments=14),
+    "quarter": lambda rng: quarter_stream(rng, max_segments=14),
+    "relay": relay_stream,
+}
 
 
 def pairs(lst):
@@ -128,6 +137,20 @@ class TestLatencyLists:
             for lst in latency_lists(demo, u).values():
                 for (s, a), (s2, a2) in zip(lst, lst[1:]):
                     assert s < s2 and a < a2
+
+    @pytest.mark.parametrize("kind", sorted(SCAN_STREAMS))
+    @pytest.mark.parametrize("seed", range(15))
+    def test_scan_builds_increasing_lists(self, kind, seed):
+        # the scan takes its lists unchecked: each must be componentwise
+        # strictly increasing, on the stream and on its int twin
+        stream = SCAN_STREAMS[kind](seeded(2600 + seed))
+        for part in (stream, stream.lattice()[0]):
+            built = _scan(part, set(part.nodes))
+            assert set(built) == set(part.nodes)
+            for lists in built.values():
+                for ll in lists.values():
+                    assert all(map(lt, ll.starts, ll.starts[1:]))
+                    assert all(map(lt, ll.arrivals, ll.arrivals[1:]))
 
     def test_no_nested_pair_is_reachable(self, demo):
         # strictly nested event-time windows inside a latency pair admit no

@@ -1,10 +1,12 @@
 import ast
 import operator
+import re
 import sys
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import linkstream.oracle
 from linkstream import (
@@ -70,10 +72,50 @@ class TestGridSpec:
                            match="cannot convert 0.5 to an exact rational"):
             GridSpec(Fraction(1, 8)).index(0.5)
 
+    @pytest.mark.parametrize("step,t,expected", [
+        (Fraction(1, 4), 0.5, (TypeError,
+                               "cannot convert 0.5 to an exact rational")),
+        (Fraction(1, 4), "1/2", (TypeError,
+                                 "cannot convert '1/2' to an exact rational")),
+        (Fraction(1, 4), True, 4),  # a bool is an int
+        (Fraction(1, 4), False, 0),
+        (Fraction(1, 4), Fraction(-3, 2), -6),
+        (Fraction(1, 4), -7, -28),
+        (Fraction(1, 4), Fraction(-1, 3),
+         (GridError, "time -1/3 is not on the grid of step 1/4")),
+        (Fraction(1, 2), Fraction(1, 3),
+         (GridError, "time 1/3 is not on the grid of step 1/2")),
+        (Fraction(3, 2), Fraction(9, 2), 3),
+        (Fraction(3, 2), 3, 2),
+        (Fraction(3, 2), 1, (GridError, "time 1 is not on the grid of step 3/2")),
+        (2, 6, 3),
+        (2, 7, (GridError, "time 7 is not on the grid of step 2")),
+        (Fraction(1, 10**30 + 7), Fraction(5 * 10**30 + 38, 10**30 + 7),
+         5 * 10**30 + 38),
+        (Fraction(1, 10**30 + 7), Fraction(1, 10**30 - 1),
+         (GridError, "time 1/%d is not on the grid of step 1/%d"
+          % (10**30 - 1, 10**30 + 7))),
+        (Fraction(1, 24 * (10**30 + 7)), Fraction(10**30 + 8, 10**30 + 7),
+         24 * (10**30 + 8)),
+    ])
+    def test_index_table(self, step, t, expected):
+        grid = GridSpec(step)
+        if isinstance(expected, tuple):
+            error, message = expected
+            with pytest.raises(error, match="^%s$" % re.escape(message)):
+                grid.index(t)
+        else:
+            got = grid.index(t)
+            assert got == expected and type(got) is int
+
     def test_check_stream(self, demo):
-        GridSpec(Fraction(1, 2)).check_stream(demo)
+        assert GridSpec(Fraction(1, 2)).check_stream(demo) == [
+            2 * t for t in demo.event_times()]
         with pytest.raises(GridError):
             GridSpec(Fraction(2)).check_stream(demo)
+        stream = LinkStream(Q(1, 2), Q(4), "ab", {("a", "b"): [(Q(1), Q(2))]})
+        with pytest.raises(GridError, match="time 1/2 is not on the grid"):
+            GridSpec(Fraction(1)).check_stream(stream)
 
     def test_grid_size_is_bounded(self):
         stream = LinkStream(Q(0), Q(1), "ab", {("a", "b"): [(Q(0), Q(1))]})
@@ -165,6 +207,141 @@ class TestCountShortest:
             assert got == (2, 2)
         got = grid_betweenness(stream, [tn(1, "b")], GridSpec(Fraction(1, 4)))
         assert got == [Fraction(175, 16)]
+
+
+# -- closed-form run crossing ---------------------------------------------
+#
+# grid_count_shortest crosses each run of grid indices that share a snapshot
+# in closed form (_GridTable.cross_run); the reference below applies `cross`
+# at every grid index, one at a time.
+
+
+def reference_count_shortest(stream, src, dst, grid):
+    """grid_count_shortest by one `cross` per grid index of the scan."""
+    stream.check_temporal_node(src)
+    stream.check_temporal_node(dst)
+    table = _GridTable(stream, grid, src.time, dst.time)
+    if table.k_lo > table.k_hi:
+        return (None, 0)
+    avail = {src.node: (0, 1)}
+    for k in range(table.k_lo, table.k_hi + 1):
+        avail = table.cross(k, avail)
+    return avail.get(dst.node, (None, 0))
+
+
+HUGE = 10**30 + 7
+
+
+def huge_stream(rng):
+    """An int_stream moved to the lattice of 1/HUGE and shifted by 1: its
+    own L is HUGE, and its window still spans 10 ticks of 1/L."""
+    base = int_stream(rng)
+
+    def f(t):
+        return Q(t, HUGE) + 1
+
+    presence = {pair: [(f(b), f(e)) for b, e in ivs]
+                for pair, ivs in base.presence.items()}
+    return LinkStream(f(base.alpha), f(base.omega), base.nodes, presence)
+
+
+RUN_STREAMS = {"int": int_stream, "quarter": quarter_stream,
+               "huge": huge_stream}
+
+
+def run_times(stream, grid):
+    """Grid times around the runs of indices that share a snapshot: the
+    window ends and the indices next to them, every event index, the one
+    before it and the two after it (a run starts at an event index and at
+    the one after it), and the middle of every stretch between event
+    indices, each kept when it lies in the window."""
+    k_lo, k_hi = grid.index(stream.alpha), grid.index(stream.omega)
+    events = list(map(grid.index, stream.event_times()))
+    ks = {k_lo, k_lo + 1, k_hi - 1, k_hi}
+    for e in events:
+        ks.update((e - 1, e, e + 1, e + 2))
+    for a, b in zip([k_lo] + events, events + [k_hi]):
+        ks.add((a + b) // 2)
+    return [grid.time(k) for k in sorted(ks) if k_lo <= k <= k_hi]
+
+
+def typed_count(result):
+    return tuple((type(x).__name__, x) for x in result)
+
+
+class TestCrossRun:
+    @settings(max_examples=150, deadline=None, derandomize=True,
+              database=None)
+    @given(kind=st.sampled_from(sorted(RUN_STREAMS)),
+           seed=st.integers(0, 10**6),
+           refine=st.sampled_from([2, 8, 24]),
+           parsed=st.booleans(),
+           ends=st.tuples(st.integers(0, 10**6), st.integers(0, 10**6)),
+           nodes=st.tuples(st.integers(0, 10), st.integers(0, 10)))
+    def test_matches_one_cross_per_index(self, kind, seed, refine, parsed,
+                                         ends, nodes):
+        stream = RUN_STREAMS[kind](seeded(seed))
+        if parsed:  # Fraction times, placed by the twin's ticks
+            stream = parse_stream(stream.serialize())
+        grid = GridSpec(Fraction(1, refine * stream.scale()))
+        times = run_times(stream, grid)
+        t1, t2 = (times[i % len(times)] for i in ends)
+        u, w = (stream.nodes[i % len(stream.nodes)] for i in nodes)
+        src, dst = TemporalNode(t1, u), TemporalNode(t2, w)
+        assert typed_count(grid_count_shortest(stream, src, dst, grid)) == \
+            typed_count(reference_count_shortest(stream, src, dst, grid))
+
+    @pytest.mark.parametrize("kind", sorted(RUN_STREAMS))
+    def test_windows_start_and_end_inside_runs(self, kind):
+        # every window between run_times, each to a node drawn at random,
+        # on a few streams; the windows start and end inside runs with
+        # links and inside runs without, and cross runs of many indices
+        rng = seeded(4040)
+        inside = {True: [0, 0], False: [0, 0]}  # live -> [starts, ends]
+        longest = 0
+        for _ in range(3):
+            stream = RUN_STREAMS[kind](rng)
+            grid = GridSpec(Fraction(1, 8 * stream.scale()))
+            whole = _GridTable(stream, grid, stream.alpha, stream.omega)
+            times = run_times(stream, grid)
+            for i, t1 in enumerate(times):
+                for t2 in times[i:]:
+                    src = TemporalNode(t1, rng.choice(stream.nodes))
+                    dst = TemporalNode(t2, rng.choice(stream.nodes))
+                    assert grid_count_shortest(stream, src, dst, grid) == \
+                        reference_count_shortest(stream, src, dst, grid)
+                    for end, t in enumerate((t1, t2)):
+                        k = grid.index(t)
+                        for first, stop, _, live in whole.runs:
+                            if first < k < stop - 1:
+                                inside[live][end] += 1
+            longest = max(longest, max(stop - first for first, stop, _, live
+                                       in whole.runs if live))
+        assert all(all(counts) for counts in inside.values()), inside
+        assert longest >= 16
+
+    def test_runs_tile_the_table(self, demo):
+        grid = GridSpec(Fraction(1, 8))
+        table = _GridTable(demo, grid, Q(3, 2), Q(20))
+        firsts = [first for first, _, _, _ in table.runs]
+        assert firsts[0] == table.k_lo == 12
+        assert [end for _, end, _, _ in table.runs] == firsts[1:] + [161]
+        for first, end, graph, live in table.runs:
+            for k in range(first, end):
+                assert table.graphs[k] is graph and table.live[k] is live
+        assert {first for first, _, _, live in table.runs if live} >= \
+            set(table.changes)
+
+    def test_closed_form_on_a_path(self):
+        # one snapshot a - b - c over 17 indices: from (0, a) to (2, c),
+        # a path of length 2 crosses a-b at i and b-c at j, i <= j, or both
+        # at one index: 17 * 18 / 2 = 153 paths
+        stream = LinkStream(0, 2, "abc", {("a", "b"): [(0, 2)],
+                                          ("b", "c"): [(0, 2)]})
+        grid = GridSpec(Fraction(1, 8))
+        src, dst = TemporalNode(0, "a"), TemporalNode(2, "c")
+        assert grid_count_shortest(stream, src, dst, grid) == (2, 153)
+        assert reference_count_shortest(stream, src, dst, grid) == (2, 153)
 
 
 class TestFastest:

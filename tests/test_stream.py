@@ -1,3 +1,4 @@
+from bisect import bisect_left
 from fractions import Fraction
 
 import pytest
@@ -17,6 +18,10 @@ from linkstream import (
 from linkstream.numbers import on_lattice
 
 from conftest import DEMO_TEXT, random_stream, seeded
+from test_lattice import huge_stream, integer_stream, quarters_stream
+
+SLOT_STREAMS = {"integer": integer_stream, "quarter": quarters_stream,
+                "huge": huge_stream}
 
 
 def edge_set(graph):
@@ -362,6 +367,48 @@ class TestGraphAt:
             g1 = demo.graph_at(t + (t2 - t) / 3)
             g2 = demo.graph_at(t + (t2 - t) * 2 / 3)
             assert edge_set(g1) == edge_set(g2)
+
+
+def reference_slot(stream, t):
+    """The slot of t by a bisect of the stream's own event times."""
+    ev = stream.event_times()
+    i = bisect_left(ev, t)
+    return 2 * i + 1 if i < len(ev) and ev[i] == t else 2 * i
+
+
+def probe_times(stream):
+    """Window ends, event times, the halves and thirds of every gap, and
+    times a tiny step (1/10**40) to either side of each of those."""
+    bounds = sorted({stream.alpha, stream.omega, *stream.event_times()})
+    times = set(bounds)
+    for a, b in zip(bounds, bounds[1:]):
+        times.update((a + (b - a) / 2, a + (b - a) / 3, b - (b - a) / 3))
+    tiny = Q(1, 10**40)
+    times.update([t + d for t in list(times) for d in (tiny, -tiny)])
+    return sorted(t for t in times if stream.alpha <= t <= stream.omega)
+
+
+class TestSlotOnTicks:
+    """A Fraction time on a stream with a twin is placed among the twin's
+    int event ticks; the reference compares it with the stream's own
+    Fraction event times."""
+
+    @settings(max_examples=120, deadline=None, derandomize=True,
+              database=None)
+    @given(kind=st.sampled_from(sorted(SLOT_STREAMS)),
+           seed=st.integers(0, 10**6), parsed=st.booleans())
+    def test_matches_reference_bisect(self, kind, seed, parsed):
+        stream = SLOT_STREAMS[kind](seeded(seed))
+        if parsed:
+            stream = parse_stream(stream.serialize())
+        stream.lattice()  # builds the twin, unless parsing did
+        assert stream._twin is not None
+        for t in probe_times(stream):
+            assert stream.slot(t) == reference_slot(stream, t), t
+
+    def test_int_time_on_a_fraction_stream(self, demo):
+        for t in range(33):
+            assert demo.slot(t) == reference_slot(demo, Q(t))
 
 
 class TestGap:
