@@ -24,12 +24,13 @@ def betweenness(stream, tv):
 
     The sum runs on the stream's integer-time twin (`LinkStream.lattice`),
     with times in ticks of 1/L; betweenness scales with the square of time,
-    so the twin's total is divided by L**2."""
+    so the twin's total is divided by L**2.  The twin's own L is 1: the
+    floor and the ceiling of the query tick place it, comparing ints only."""
     stream.check_temporal_node(tv)
     twin, scale = stream.lattice()
     tv = TemporalNode(on_lattice(tv.time, scale), tv.node)
     table = _lists(twin, twin.nodes)
-    t_lo, t_hi = twin.int_bounds(tv.time)
+    t_lo, t_hi = twin._tick_bounds(tv.time)
     y_mins = {w: y for w, y in ((w, _y_min(table[tv.node][w], t_hi))
                                 for w in twin.nodes) if y is not None}
     total = Q(0)

@@ -117,9 +117,8 @@ def _y_min(from_v, t_hi):
 
 def _anchored(stream, u, w, tv, ll):
     """`_anchor`, its reach bounds read from the filled lists u->v, v->w."""
-    t_lo, t_hi = stream.int_bounds(tv.time)
-    x_max = _x_max(stream._latency_lists[u][tv.node], t_lo)
-    y_min = _y_min(stream._latency_lists[tv.node][w], t_hi)
+    x_max = _x_max(stream._latency_lists[u][tv.node], tv.time)
+    y_min = _y_min(stream._latency_lists[tv.node][w], tv.time)
     if x_max is None or y_min is None:
         return None
     return _anchor(stream, u, w, tv, ll, x_max, y_min)
@@ -140,9 +139,9 @@ def _anchor(stream, u, w, tv, ll, x_max, y_min):
     holding t, are also connected at the event times that bound it, where
     the lists hold an instantaneous pair (a node's list to itself holds
     every event time).  x_max <= t <= y_min, and the pairs meeting both
-    bounds form one range, so the anchor is its first pair.  t is placed
-    among the event times by its int bounds, so every comparison is on
-    event times."""
+    bounds form one range, so the anchor is its first pair.  x_max and
+    y_min place t among the event times, so every comparison is on event
+    times."""
     k = bisect_left(ll.arrivals, y_min)
     if k >= bisect_right(ll.starts, x_max):
         return None

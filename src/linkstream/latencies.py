@@ -101,7 +101,7 @@ def _scan(stream, sources):
     starts = {w: {u: [] for u in sources} for w in stream.nodes}
     arrivals = {w: {u: [] for u in sources} for w in stream.nodes}
     for i, t in enumerate(ev):
-        for comp in stream.components(stream.slot(t)):
+        for comp in stream.components(2 * i + 1):
             inside = comp & sources
             shared = latest[next(iter(comp))]
             if all(latest[w] is shared for w in comp):

@@ -15,7 +15,6 @@ it, not to omega.  Gap graphs and their BFS tables do not depend on the
 source: the stream's slot tables hold them once for every sweep.
 """
 
-from bisect import bisect_right
 from math import factorial
 from operator import itemgetter
 from typing import NamedTuple
@@ -102,17 +101,19 @@ class SweepTables:
     """Distance/volume tables from one source temporal node.  The sweep
     advances on demand: reading the state at an event time runs the steps
     up to it that have not run yet, and an off-event time extends the state
-    at the event time before it."""
+    at the event time before it.  The source is placed once, before event
+    time `first`: step n arrives at event time first + n - 1, or at omega in
+    the last gap, and takes its slots from that index."""
 
     def __init__(self, stream, i, u):
         self.stream = stream
         self.source = (i, u)
-        events = stream._event_times
-        first = bisect_right(events, stream.int_bounds(i)[0])
-        self.times = [i] + events[first:]
+        slot = stream.slot(i)
+        self.first = (slot + 1) // 2
+        self.times = [i] + stream._event_times[self.first:]
         if self.times[-1] < stream.omega:
             self.times.append(stream.omega)
-        init = stream.bfs(stream.slot(i), u)
+        init = stream.bfs(slot, u)
         dist = dict(init.dist)
         self.states = [(dist, {w: Volume(init.count[w], 0) for w in dist})]
         self._extensions = {}
@@ -126,16 +127,22 @@ class SweepTables:
         """(dist, vol) maps at times[k], running the sweep up to it."""
         stream, states, times = self.stream, self.states, self.times
         while len(states) <= k:
-            t = times[len(states)]
-            states.append(_advance(stream, stream.gap(t, False), stream.slot(t),
-                                   t - times[len(states) - 1], *states[-1]))
+            n = len(states)
+            slot = min(2 * (self.first + n) - 1, 2 * len(stream._event_times))
+            states.append(_advance(stream, slot - (slot & 1), slot,
+                                   times[n] - times[n - 1], *states[-1]))
         return states[k]
 
     def state_at(self, j):
         """(dist, vol) maps at time j >= source time."""
         times = self.times
-        k = bisect_right(times, self.stream.int_bounds(j)[0], 1) - 1
-        if k == 0 and j < times[0]:
+        slot = self.stream.slot(j)
+        # k counts the event times on the table up to j; omega off the event
+        # times shares the last gap's slot, so it is found by its value
+        k = (slot + 1) // 2 - self.first
+        if times[-1] == j:
+            k = len(times) - 1
+        elif k <= 0 and j < times[0]:
             raise StreamError("query time %s before source time %s"
                               % (j, self.source[0]))
         if times[k] == j:
@@ -144,7 +151,6 @@ class SweepTables:
         if state is None:
             # every event time after the source is on the table, so j lies
             # in a gap, which is also the graph at j
-            slot = self.stream.slot(j)
             state = _advance(self.stream, slot, slot, j - times[k],
                              *self._state(k))
             self._extensions[j] = state

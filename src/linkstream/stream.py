@@ -7,9 +7,9 @@ bounds; the instantaneous graph only changes there.
 The event times cut the window into slots, on each of which the graph is
 constant: with n event times, slot 2i+1 is event time i, slot 2i is the open
 gap before it, and slot 2n is the gap after the last one (with none, slot 0
-covers the window).  This module is the only one that knows this layout:
-other modules find slots with `LinkStream.slot` and `LinkStream.gap`, and
-read their graphs and tables by slot.
+covers the window).  Times are placed only here, on int ticks, by
+`LinkStream.slot` and `LinkStream.gap`; other modules read graphs and
+tables by slot, and a walk over the event times reads slot 2i+1 at i.
 """
 
 from bisect import bisect_left
@@ -155,7 +155,11 @@ class LinkStream:
 
     def _set_events(self, event_times):
         self._event_times = event_times
-        self._int_events = all(type(t) is int for t in event_times)
+        # L, and the ticks t * L of the window ends and the event times
+        bounds = (self.alpha, self.omega, *event_times)
+        self._scale = scale = lcm(*(t.denominator for t in bounds))
+        ticks = [t.numerator * (scale // t.denominator) for t in bounds]
+        self._end_ticks, self._event_ticks = ticks[:2], ticks[2:]
         # Tables that do not depend on a query's source, filled on first use
         # and shared by every query.
         self._snapshots = None  # slot -> SnapshotGraph
@@ -163,8 +167,7 @@ class LinkStream:
         self._bfs = {}  # (slot, node) -> BfsResult
         self._sweeps = {}  # (time, node) -> shortest_volumes.SweepTables
         self._latency_lists = {}  # source -> latencies.latency_lists result
-        self._scale = None  # scale() without extra times
-        self._twin = None  # lattice() at _scale, unless the stream is its own
+        self._twin = None  # lattice() at _scale: this stream or an int copy
 
     # -- basic queries ----------------------------------------------------
 
@@ -178,7 +181,9 @@ class LinkStream:
     def _check_time(self, t):
         if not isinstance(t, (int, Q)):
             raise TypeError("cannot convert %r to an exact rational" % (t,))
-        if t < self.alpha or t > self.omega:
+        lo, hi = self._tick_bounds(t)
+        alpha, omega = self._end_ticks
+        if lo < alpha or hi > omega:
             raise StreamError("time %s outside [%s, %s]" % (t, self.alpha, self.omega))
 
     def graph_at(self, t):
@@ -186,29 +191,20 @@ class LinkStream:
         self._check_time(t)
         return self.snapshot(self.slot(t))
 
-    def int_bounds(self, t):
-        """(lo, hi) that place t among the event times: for every event time
-        e, e <= t iff e <= lo, and e >= t iff e >= hi.  When every event time
-        is an int, they are the floor and ceiling of t, so that locating an
-        off-lattice time compares ints only; otherwise both are t."""
-        if self._int_events and type(t) is Q:
-            lo = t.numerator // t.denominator
-            return lo, lo + (t.denominator != 1)
-        return t, t
+    def _tick_bounds(self, t):
+        """The floor and the ceiling of t * L, for L the stream's `scale()`:
+        for every event or window-end time e, e <= t iff e * L <= floor, and
+        e >= t iff e * L >= ceiling."""
+        lo, rem = divmod(t.numerator * self._scale, t.denominator)
+        return lo, lo + (rem != 0)
 
     def slot(self, t):
         """Index of the slot holding time t: 2i+1 at event time i, 2i on the
         open gap before it.  alpha and omega off the event times lie in the
-        first and the last gap.  A Fraction time on a stream with a twin is
-        placed among the twin's int event ticks, as t * L between the two
-        ints around it."""
-        if self._twin is not None and type(t) is Q:
-            ev = self._twin._event_times
-            lo, rem = divmod(t.numerator * self._scale, t.denominator)
-            hi = lo + (rem != 0)
-        else:
-            ev = self._event_times
-            lo, hi = self.int_bounds(t)
+        first and the last gap.  t is placed among the int event ticks by
+        the floor and the ceiling of t * L, so it is compared as ints."""
+        lo, hi = self._tick_bounds(t)
+        ev = self._event_ticks
         i = bisect_left(ev, hi)
         return 2 * i + 1 if i < len(ev) and ev[i] == lo else 2 * i
 
@@ -286,26 +282,23 @@ class LinkStream:
     def scale(self, times=()):
         """L, the lcm of the denominators of alpha, omega, every interval
         bound and `times`: every one of these times is a multiple of 1/L.
-        The stream's own L, without `times`, is computed once and kept."""
-        if self._scale is None:
-            bounds = (self.alpha, self.omega, *self._event_times)
-            self._scale = lcm(*(as_q(t).denominator for t in bounds))
+        The stream's own L, without `times`, is computed when it is built."""
         return lcm(self._scale, *(as_q(t).denominator for t in times))
 
     def lattice(self, times=()):
         """(twin, L): L is `scale(times)`, and twin is this stream with every
-        time multiplied by L, so all its times are ints.  The twin of the
-        stream's own L is built once and kept (`parse_stream` builds it with
-        the stream); the stream is its own twin when its times are ints
-        already.  A twin for a larger L (from
-        `times`) is built anew on each call."""
+        time multiplied by L, so all its times are ints, and its own L is 1.
+        The twin of the stream's own L is found once and kept: the stream
+        itself when its times are ints already, otherwise an int copy
+        (`parse_stream` builds it with the stream).  A twin for a larger L
+        (from `times`) is built anew on each call."""
         scale = self.scale(times)
         if scale != self._scale:
             return self._scaled(scale), scale
-        if self._int_events and type(self.alpha) is type(self.omega) is int:
-            return self, scale
         if self._twin is None:
-            self._twin = self._scaled(scale)
+            bounds = (self.alpha, self.omega, *self._event_times)
+            own = all(type(t) is int for t in bounds)
+            self._twin = self if own else self._scaled(scale)
         return self._twin, scale
 
     def _scaled(self, scale):
@@ -414,6 +407,5 @@ def parse_stream(text):
         *header, nodes, {key: ivs._mapped(rational) for key, ivs in presence.items()},
         list(map(rational, events)))
     if gcd(scale, alpha, omega, *events) == 1:
-        stream._scale = scale
         stream._twin = LinkStream._of_parts(alpha, omega, nodes, presence, events)
     return stream

@@ -1,16 +1,19 @@
-"""Demand-driven sweeps and the int-only tick path.
+"""Demand-driven sweeps and the int tick path.
 
 A sweep runs `_advance` only up to the latest time read from it, so its
-results must not depend on the order in which times are read.  On a stream
-whose event times are all ints, an off-lattice time t is located by its
-floor and ceiling (`LinkStream.int_bounds`); the same stream with
-`Fraction` times (a non-int stream, where every comparison is exact on t
-itself) is the reference.
+results must not depend on the order in which times are read.  Every stream
+places a time t by the floor and the ceiling of t * L among the int ticks
+of its event times (`LinkStream._tick_bounds`); on an int stream `betweenness`
+compares those ints with the latency lists, and the same stream with
+`Fraction` times, where the public `contribution` compares t itself, is the
+reference.
 """
 
 import random
+from math import ceil, floor
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from linkstream import (
     LinkStream,
@@ -120,6 +123,63 @@ class TestDemand:
         assert tables.steps_run == 2
 
 
+def widened(stream, omega_event):
+    """The stream on a window one unit wider at both ends, so that alpha is
+    no event time; with `omega_event`, one more link makes omega one."""
+    alpha, omega = stream.alpha - 1, stream.omega + 1
+    presence = {pair: list(ivs) for pair, ivs in stream.presence.items()}
+    if omega_event:
+        presence.setdefault(stream.nodes[:2], []).append((omega, omega))
+    return LinkStream(alpha, omega, stream.nodes, presence)
+
+
+def typed(result):
+    return result, type(result.volume.size), type(result.distance)
+
+
+class TestSweepAtTheWindowEnd:
+    """Sweep step n arrives at the slot of event time first + n - 1, or of
+    the last gap at omega.  Sources at alpha, in the last gap, at the last
+    event time and at omega, each read at omega and just before it, give
+    what a fresh stream gives for that read alone, whatever the order."""
+
+    @pytest.mark.parametrize("omega_event", [False, True], ids=["gap", "event"])
+    @pytest.mark.parametrize("kind", sorted(STREAMS))
+    @pytest.mark.parametrize("seed", range(3))
+    def test_reads_at_omega(self, kind, seed, omega_event):
+        stream = widened(STREAMS[kind](seeded(3400 + seed)), omega_event)
+        alpha, omega, events = stream.alpha, stream.omega, stream.event_times()
+        assert alpha < events[0] and (events[-1] == omega) == omega_event
+        bounds = sorted({*events, omega})
+        last_gap = Q(bounds[-2] + bounds[-1]) / 2
+        sources = [(x, u) for x in (alpha, last_gap, events[-1], omega)
+                   for u in stream.nodes]
+        reads = [(t, v) for t in (omega - Q(1, 10**40), omega)
+                 for v in stream.nodes]
+        queries = [(TemporalNode(*src), TemporalNode(*dst))
+                   for src in sources for dst in reads if src[0] <= dst[0]]
+        single = {}
+        for src, dst in queries:
+            alone = fresh(stream)
+            single[src, dst] = typed(vsp(alone, src, dst))
+            tables = sweep_tables(alone, *src)
+            planned = [src.time] + [e for e in events if e > src.time]
+            if planned[-1] < omega:
+                planned.append(omega)
+            assert tables.times == planned
+            assert tables.steps_run == sum(1 for t in tables.times[1:]
+                                           if t <= dst.time)
+        for order in (queries, queries[::-1]):
+            shared = fresh(stream)
+            latest = {}
+            for src, dst in order:
+                assert typed(vsp(shared, src, dst)) == single[src, dst]
+                latest[src] = max(latest.get(src, src.time), dst.time)
+                tables = sweep_tables(shared, *src)
+                assert tables.steps_run == sum(1 for t in tables.times[1:]
+                                               if t <= latest[src])
+
+
 class TestIntTicks:
     @pytest.mark.parametrize("seed", range(8))
     def test_matches_fraction_comparisons(self, seed):
@@ -136,21 +196,43 @@ class TestIntTicks:
                                 for u in exact.nodes for w in exact.nodes), Q(0))
                 assert betweenness(stream, tv) == expected
 
-    def test_int_bounds(self):
-        stream = LinkStream(0, 10, "ab", {("a", "b"): [(2, 4)]})
-        assert stream.int_bounds(Q(7, 2)) == (3, 4)
-        assert stream.int_bounds(Q(-1, 3)) == (-1, 0)
-        assert stream.int_bounds(Q(3)) == (3, 3)
-        assert stream.int_bounds(3) == (3, 3)
+    @pytest.mark.parametrize("t,lo,hi", [
+        (Q(7, 2), 3, 4), (Q(-1, 3), -1, 0), (Q(-7, 2), -4, -3),
+        (Q(3), 3, 3), (3, 3, 3), (-3, -3, -3), (Q(-6, 2), -3, -3),
+        (Q(1, 10**40), 0, 1), (-Q(1, 10**40), -1, 0), (4 - Q(1, 10**40), 3, 4),
+        (Q(10**40 + 1, 10**40), 1, 2),
+    ])
+    def test_tick_bounds_on_an_int_stream(self, t, lo, hi):
+        stream = LinkStream(-10, 10, "ab", {("a", "b"): [(-2, 4)]})
+        assert stream._tick_bounds(t) == (lo, hi)
+
+    @pytest.mark.parametrize("t,lo,hi", [
+        (Q(7, 2), 14, 14), (Q(-1, 4), -1, -1), (-3, -12, -12), (Q(-1, 3), -2, -1),
+        (Q(1, 3), 1, 2), (-Q(1, 10**40), -1, 0), (Q(1, 4) + Q(1, 10**40), 1, 2),
+        (Q(-1, 4) - Q(1, 10**40), -2, -1),
+    ])
+    def test_tick_bounds_on_a_quarter_stream(self, t, lo, hi):
+        stream = LinkStream(Q(-10), Q(10), "ab", {("a", "b"): [(Q(-9, 4), Q(1, 2))]})
+        assert stream.scale() == 4
+        assert stream._tick_bounds(t) == (lo, hi)
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(num=st.integers(-10**45, 10**45), den=st.integers(1, 10**42),
+           scale=st.sampled_from([1, 4, 12, 3 * 10**40 + 1]))
+    def test_tick_bounds_are_floor_and_ceiling(self, num, den, scale):
+        stream = LinkStream(Q(0), Q(1), "ab", {("a", "b"): [(Q(0), Q(1, scale))]})
+        assert stream.scale() == scale
+        t = Q(num, den)
+        assert stream._tick_bounds(t) == (floor(t * scale), ceil(t * scale))
+        if t.denominator == 1:
+            assert stream._tick_bounds(int(t)) == (t * scale, t * scale)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_control_on_a_quarter_stream(self, seed):
-        """On non-int event times the floor rule is off: times are compared
-        as they are."""
+        """On non-int event times t is placed by the ticks of t * 4."""
         stream = quarter_stream(seeded(3300 + seed))
         for t in ticks(stream) + [t + Q(1, 8) for t in ticks(stream)][:-1]:
             assert stream.slot(t) == brute_slot(stream, t)
-            assert stream.int_bounds(t) == (t, t)
 
 
 class TestPublicChecks:

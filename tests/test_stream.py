@@ -19,9 +19,16 @@ from linkstream.numbers import on_lattice
 
 from conftest import DEMO_TEXT, random_stream, seeded
 from test_lattice import huge_stream, integer_stream, quarters_stream
+from test_shared_state import int_times
 
-SLOT_STREAMS = {"integer": integer_stream, "quarter": quarters_stream,
-                "huge": huge_stream}
+
+
+def int_stream(rng):
+    return int_times(integer_stream(rng))
+
+
+SLOT_STREAMS = {"int": int_stream, "integer": integer_stream,
+                "quarter": quarters_stream, "huge": huge_stream}
 
 
 def edge_set(graph):
@@ -382,16 +389,16 @@ def probe_times(stream):
     bounds = sorted({stream.alpha, stream.omega, *stream.event_times()})
     times = set(bounds)
     for a, b in zip(bounds, bounds[1:]):
-        times.update((a + (b - a) / 2, a + (b - a) / 3, b - (b - a) / 3))
+        span = Q(b - a)
+        times.update((a + span / 2, a + span / 3, b - span / 3))
     tiny = Q(1, 10**40)
     times.update([t + d for t in list(times) for d in (tiny, -tiny)])
     return sorted(t for t in times if stream.alpha <= t <= stream.omega)
 
 
 class TestSlotOnTicks:
-    """A Fraction time on a stream with a twin is placed among the twin's
-    int event ticks; the reference compares it with the stream's own
-    Fraction event times."""
+    """A time is placed among the stream's int event ticks, with or without
+    a twin; the reference compares it with the stream's own event times."""
 
     @settings(max_examples=120, deadline=None, derandomize=True,
               database=None)
@@ -409,6 +416,32 @@ class TestSlotOnTicks:
     def test_int_time_on_a_fraction_stream(self, demo):
         for t in range(33):
             assert demo.slot(t) == reference_slot(demo, Q(t))
+
+
+class TestWindowOnTicks:
+    """The window check compares ticks; the reference compares the times
+    themselves as Fractions, within 1/10**40 of both window ends."""
+
+    @settings(max_examples=120, deadline=None, derandomize=True,
+              database=None)
+    @given(kind=st.sampled_from(sorted(SLOT_STREAMS)),
+           seed=st.integers(0, 10**6), parsed=st.booleans())
+    def test_raises_exactly_outside_the_window(self, kind, seed, parsed):
+        stream = SLOT_STREAMS[kind](seeded(seed))
+        if parsed:
+            stream = parse_stream(stream.serialize())
+        node = stream.nodes[0]
+        steps = (0, Q(1, 10**40), Q(1, 3 * 10**40), Q(1, 4), 1)
+        for end in (stream.alpha, stream.omega):
+            for t in {end + d for d in steps} | {end - d for d in steps}:
+                outside = Q(t) < Q(stream.alpha) or Q(t) > Q(stream.omega)
+                for check in (stream.graph_at, lambda t: (
+                        stream.check_temporal_node(TemporalNode(t, node)))):
+                    if outside:
+                        with pytest.raises(StreamError, match="outside"):
+                            check(t)
+                    else:
+                        check(t)
 
 
 class TestGap:
