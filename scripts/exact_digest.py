@@ -21,10 +21,11 @@ and every third of the sorted window ends, event times and gap midpoints:
 `grid_betweenness` at steps 1/8 and 1/16 (also with the nodes of one call
 at different probe times), and `grid_fastest` (with and without
 `arrive_by`), `grid_count_shortest` and a windowed `grid_contribution` at
-step 1/8, and `grid_count_shortest` again at step 1/32, where the runs of
-grid indices with one snapshot are long, so that a change to the oracle's
-scans, grid table or run crossing that moves an estimate changes the
-digest; and of
+step 1/8, and `grid_count_shortest`, `grid_betweenness` (the nodes of one
+call at different probe times) and `grid_fastest` again at step 1/32,
+where the runs of grid indices with one snapshot are long, so that a
+change to the oracle's scans, grid table or run crossing that moves an
+estimate changes the digest; and of
 `profile(demo, 1000)`.  Each output is hashed with its query and the type
 of every number, so an int that turns into an equal Fraction changes the
 digest.
@@ -49,7 +50,7 @@ CONTRIB_EVERY = 6
 VSP_EVERY = 2  # every VSP_EVERY-th stream (all three time kinds) gets vsp
 ORACLE_EVERY = 20  # every ORACLE_EVERY-th stream (all three time kinds)
 ORACLE_STEPS = (Fraction(1, 8), Fraction(1, 16))  # gets the grid oracle
-LONG_RUN_STEP = Fraction(1, 32)  # and grid_count_shortest at this step too
+LONG_RUN_STEP = Fraction(1, 32)  # and three entry points at this step too
 TIME_KINDS = {
     "int": lambda k: k,
     "fraction": Fraction,
@@ -134,7 +135,8 @@ def oracle_outputs(ls, n, stream):
     window from the middle probe time to omega.  At LONG_RUN_STEP, where
     many grid indices share each snapshot, `grid_count_shortest` from every
     node at every probe time to every node at that probe time and every
-    third later one."""
+    third later one, `grid_betweenness` at the `spread` nodes, and
+    `grid_fastest` from every node at every probe time to every node."""
     bounds = sorted({stream.alpha, stream.omega, *stream.event_times()})
     mids = {a + Fraction(b - a, 2) for a, b in zip(bounds, bounds[1:])}
     times = sorted({*bounds, *mids})
@@ -176,9 +178,16 @@ def oracle_outputs(ls, n, stream):
                            typed(ls.grid_count_shortest(stream, src, dst,
                                                         grid)))
     grid = ls.GridSpec(LONG_RUN_STEP)
+    tvs = [ls.TemporalNode(spread[k % len(spread)], v)
+           for k, v in enumerate(nodes)]
+    for tv, value in zip(tvs, ls.grid_betweenness(stream, tvs, grid)):
+        yield ("GLM", n, typed(tuple(tv))), typed(value)
     for i, t in enumerate(probes):
         for u in nodes:
             src = ls.TemporalNode(t, u)
+            for w in nodes:
+                yield (("GLF", n, typed(tuple(src)), w),
+                       typed(ls.grid_fastest(stream, src, w, grid)))
             for t2 in probes[i::3]:
                 for w in nodes:
                     dst = ls.TemporalNode(t2, w)

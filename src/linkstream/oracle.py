@@ -13,7 +13,7 @@ lattice.
 
 from bisect import bisect_right, insort
 from fractions import Fraction
-from operator import add
+from operator import add, itemgetter
 
 MAX_GRID_POINTS = 50_000  # the largest grid one oracle call will scan
 # The most (first crossing, last crossing) cells the Riemann sums of one
@@ -109,15 +109,15 @@ def _has_edges(graph):
 
 
 class _GridTable:
-    """The snapshot at each grid index of [k_lo, k_hi], those of the times
-    lo and hi, on a grid checked against the stream, resolved once and
-    shared by every scan of one entry-point call, with the BFS of each
-    snapshot and node that its shortest-path steps have needed.  `runs`
-    lists the runs of indices that share one snapshot, in order, as (first
-    index, end, graph, live): the run is [first, end)."""
+    """The runs of grid indices of [k_lo, k_hi] that share one snapshot, in
+    order, as (first index, end, graph, live): the run is [first, end), and
+    live when its snapshot has links.  k_lo and k_hi are those of the times
+    lo and hi, on a grid checked against the stream.  Built once and shared
+    by every scan of one entry-point call, with the BFS of each snapshot and
+    node that its shortest-path steps have needed; nothing is kept per grid
+    index."""
 
-    __slots__ = ("k_lo", "k_hi", "graphs", "live", "runs", "changes",
-                 "_searched")
+    __slots__ = ("k_lo", "k_hi", "runs", "_searched")
 
     def __init__(self, stream, grid, lo, hi, pairs=0):
         events = grid.check_stream(stream)
@@ -139,20 +139,15 @@ class _GridTable:
         resolve.update(e + 1 for e in events)
         # each resolved index starts a run of indices that share its snapshot
         firsts = sorted(k for k in resolve if k_lo <= k <= k_hi)
-        self.graphs, self.live, self.runs = {}, {}, []
-        # a node set closed under the snapshot at k - 1 can only grow at k
-        # when the snapshot changes there and has edges
-        self.changes = []
-        g = None
+        self.runs = []
         for k, end in zip(firsts, firsts[1:] + [k_hi + 1]):
-            prev, g = g, stream.graph_at(grid.time(k))
-            live = _has_edges(g)
-            self.runs.append((k, end, g, live))
-            self.graphs.update(dict.fromkeys(range(k, end), g))
-            self.live.update(dict.fromkeys(range(k, end), live))
-            if live and prev is not None and g is not prev:
-                self.changes.append(k)
+            g = stream.graph_at(grid.time(k))
+            self.runs.append((k, end, g, _has_edges(g)))
         self._searched = {}
+
+    def run(self, k):
+        """The position in `runs` of the run that holds grid index k."""
+        return bisect_right(self.runs, k, key=itemgetter(0)) - 1
 
     def _search(self, g, x):
         got = self._searched.get((g, x))
@@ -160,14 +155,14 @@ class _GridTable:
             got = self._searched[(g, x)] = _static_dist_counts(g, x)
         return got
 
-    def cross(self, k, avail):
+    def cross(self, run, avail):
         """`avail` (node -> (length, count) of the shortest paths so far)
-        extended by the paths that go on over one or more links at grid
-        index k, each leg a shortest path of the snapshot at k.  A new map;
-        `avail` itself when the snapshot has no links."""
-        if not self.live[k]:
+        extended by the paths that go on over one or more links at one grid
+        index of the run, each leg a shortest path of its snapshot.  A new
+        map; `avail` itself when the snapshot has no links."""
+        _, _, g, live = run
+        if not live:
             return avail
-        g = self.graphs[k]
         out = dict(avail)
         for x, (lx, cx) in avail.items():
             dist, count = self._search(g, x)
@@ -176,8 +171,8 @@ class _GridTable:
                     _keep_shortest(out, y, lx + dy, cx * count[y])
         return out
 
-    def cross_run(self, k, r, avail):
-        """`avail` crossed at the r grid indices k, ..., k + r - 1, which
+    def cross_run(self, run, avail):
+        """`avail` crossed at each of the r grid indices of the run, which
         share one snapshot: `cross` applied r times, in closed form.
 
         The first crossing settles the lengths L.  After it, every node that
@@ -192,10 +187,11 @@ class _GridTable:
         crossing, a sum of at most max L - min L + 1 non-zero terms.  The
         searches are those of r single crossings: one from each node before
         the first crossing and, when r > 1, one from each node after it."""
-        out = self.cross(k, avail)
+        first, end, g, _ = run
+        r = end - first
+        out = self.cross(run, avail)
         if r == 1 or out is avail:
             return out
-        g = self.graphs[k]
         tight = {}  # x -> [(y, N[x][y])] over the non-zero entries
         for x, (lx, _) in out.items():
             dist, count = self._search(g, x)
@@ -216,40 +212,48 @@ class _GridTable:
         return {x: (lx, total[x]) for x, (lx, _) in out.items()}
 
 
-def _closure(table, v, ks):
-    """The nodes joined to v over the grid indices ks, crossed in that
-    order: for increasing ks, those that v reaches; for decreasing ks (the
-    snapshots are undirected), those that reach v."""
+def _closure(v, runs):
+    """The nodes joined to v over the runs, crossed in that order, with one
+    reach set per live run (a reach set is closed under its snapshot, so a
+    second search in the same run adds nothing): for runs in increasing
+    order, those that v reaches; in decreasing order (the snapshots are
+    undirected), those that reach v."""
     seen = {v}
-    for k in ks:
-        if table.live[k]:
-            seen = _reach_set(table.graphs[k], seen)
+    for _, _, g, live in runs:
+        if live:
+            seen = _reach_set(g, seen)
     return seen
 
 
 def _through(table, kt, v):
     """(back, fwd): the nodes that reach (kt, v) from k_lo on, and those
-    that (kt, v) reaches by k_hi; empty when kt is outside the table."""
+    that (kt, v) reaches by k_hi; empty when kt is outside the table.  Each
+    closure crosses the run of kt whole: only its part on one side of kt
+    lies on that side, but that part has the same snapshot."""
     if not table.k_lo <= kt <= table.k_hi:
         return set(), set()
-    return (_closure(table, v, range(kt, table.k_lo - 1, -1)),
-            _closure(table, v, range(kt, table.k_hi + 1)))
+    r = table.run(kt)
+    return (_closure(v, reversed(table.runs[:r + 1])),
+            _closure(v, table.runs[r:]))
 
 
 def _reach_scan(table, u, ks):
     """arrival[y] = earliest grid index a with a path u -> y whose first
     crossing is exactly at ks and last crossing at a (arrival[u] = ks); empty
-    when u has no link at ks."""
-    g = table.graphs[ks]
+    when u has no link at ks.  After the reach set of u at ks, the set grows
+    only over the live runs after the one of ks, each at its first index."""
+    r = table.run(ks)
+    g = table.runs[r][2]
     if not g.neighbors(u):
         return {}
     arrival = dict.fromkeys(_reach_set(g, [u]), ks)
     n = len(g.nodes)
-    for ka in table.changes[bisect_right(table.changes, ks):]:
+    for first, _, g, live in table.runs[r + 1:]:
         if len(arrival) == n:
             break
-        for y in _reach_set(table.graphs[ka], arrival):
-            arrival.setdefault(y, ka)
+        if live:
+            for y in _reach_set(g, arrival):
+                arrival.setdefault(y, first)
     return arrival
 
 
@@ -271,8 +275,8 @@ def grid_count_shortest(stream, src, dst, grid):
     if table.k_lo > table.k_hi:
         return (None, 0)
     avail = {src.node: (0, 1)}
-    for k, end, _, _ in table.runs:
-        avail = table.cross_run(k, end - k, avail)
+    for run in table.runs:
+        avail = table.cross_run(run, avail)
     return avail.get(dst.node, (None, 0))
 
 
@@ -330,7 +334,7 @@ def _shortest_sweep(table, start, k_from, k_to):
     avail = {start: (0, 1)}
     maps = {}
     for k in range(k_from, k_to + step, step):
-        avail = maps[k] = table.cross(k, avail)
+        avail = maps[k] = table.cross(table.runs[table.run(k)], avail)
         if k == k_from:
             del avail[start]  # the first crossing is at k_from, not later
     return maps
@@ -452,21 +456,15 @@ def _grid_contributions(table, u, w, arrivals, tv_idx):
 
 def _reach_scans(table, u):
     """(ks, _reach_scan(table, u, ks)) for each ks of the table, from k_hi
-    down, with one search per run of grid indices that share a snapshot;
-    only the last scan is kept.  Where the snapshot at ks is the one at
-    ks + 1, the scan from ks starts from the same reach set of u, and ks + 1
-    is no change index (a change is an index whose snapshot differs from
-    the one before), so the same changes follow and grow the same sets at
-    the same indices: the two scans differ only in the arrival of that
-    first reach set, ks instead of ks + 1.  Every later arrival is a change
-    index after ks + 1."""
-    scan = None
-    for ks in range(table.k_hi, table.k_lo - 1, -1):
-        if scan is not None and table.graphs[ks] is table.graphs[ks + 1]:
-            scan = {y: ks if ka == ks + 1 else ka for y, ka in scan.items()}
-        else:
-            scan = _reach_scan(table, u, ks)
-        yield ks, scan
+    down, with one scan per run, from its last index; only the last scan is
+    kept.  The scan from any other index ks of the run starts from the same
+    reach set of u and meets the same later runs, so it differs only in the
+    arrival of that first reach set, ks instead of the last index; every
+    later arrival is the first index of a later run."""
+    for first, end, _, _ in reversed(table.runs):
+        last = _reach_scan(table, u, end - 1)
+        for ks in range(end - 1, first - 1, -1):
+            yield ks, {y: ks if ka < end else ka for y, ka in last.items()}
 
 
 def _grid_sums(stream, tvs, grid, lo, hi, dests, pairs):

@@ -179,8 +179,6 @@ class LinkStream:
         return list(self._event_times)
 
     def _check_time(self, t):
-        if not isinstance(t, (int, Q)):
-            raise TypeError("cannot convert %r to an exact rational" % (t,))
         lo, hi = self._tick_bounds(t)
         alpha, omega = self._end_ticks
         if lo < alpha or hi > omega:
@@ -195,7 +193,10 @@ class LinkStream:
         """The floor and the ceiling of t * L, for L the stream's `scale()`:
         for every event or window-end time e, e <= t iff e * L <= floor, and
         e >= t iff e * L >= ceiling."""
-        lo, rem = divmod(t.numerator * self._scale, t.denominator)
+        try:
+            lo, rem = divmod(t.numerator * self._scale, t.denominator)
+        except AttributeError:  # a float has no exact place among the ticks
+            raise TypeError("cannot convert %r to an exact rational" % (t,))
         return lo, lo + (rem != 0)
 
     def slot(self, t):

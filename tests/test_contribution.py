@@ -110,6 +110,14 @@ class TestBoundaryLists:
         for scan in (prev_list, next_list):
             assert scan(demo, "a", "c", t, t, ll).entries == []
 
+    def test_float_anchor_rejected(self, demo):
+        # with d_anchor given, an instantaneous anchor is placed among the
+        # gaps before anything else checks its time
+        ll = latency_lists(demo, "a")["b"]
+        with pytest.raises(TypeError,
+                           match=r"cannot convert 2\.0 to an exact rational"):
+            prev_list(demo, "a", "b", 2.0, 2.0, ll, d_anchor=1)
+
 
 class TestCellRatio:
     CASES = [

@@ -2,6 +2,7 @@ import ast
 import operator
 import re
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -25,10 +26,12 @@ from linkstream import (
     vsp,
 )
 from linkstream.oracle import (
+    MAX_GRID_POINTS,
     _GridTable,
     _pair_counts,
     _reach_scan,
     _reach_scans,
+    _through,
 )
 
 from conftest import random_stream, reversed_stream, seeded
@@ -216,8 +219,16 @@ class TestCountShortest:
 # at every grid index, one at a time.
 
 
+def index_run(stream, grid, k):
+    """The one-index run (k, k + 1, graph, live) of grid index k, its graph
+    read from the stream at that index's time, not from a table's runs."""
+    graph = stream.graph_at(grid.time(k))
+    return k, k + 1, graph, any(map(graph.neighbors, graph.nodes))
+
+
 def reference_count_shortest(stream, src, dst, grid):
-    """grid_count_shortest by one `cross` per grid index of the scan."""
+    """grid_count_shortest by one `cross` per grid index of the scan, each
+    on the snapshot the stream gives at that index."""
     stream.check_temporal_node(src)
     stream.check_temporal_node(dst)
     table = _GridTable(stream, grid, src.time, dst.time)
@@ -225,7 +236,7 @@ def reference_count_shortest(stream, src, dst, grid):
         return (None, 0)
     avail = {src.node: (0, 1)}
     for k in range(table.k_lo, table.k_hi + 1):
-        avail = table.cross(k, avail)
+        avail = table.cross(index_run(stream, grid, k), avail)
     return avail.get(dst.node, (None, 0))
 
 
@@ -326,11 +337,33 @@ class TestCrossRun:
         firsts = [first for first, _, _, _ in table.runs]
         assert firsts[0] == table.k_lo == 12
         assert [end for _, end, _, _ in table.runs] == firsts[1:] + [161]
-        for first, end, graph, live in table.runs:
-            for k in range(first, end):
-                assert table.graphs[k] is graph and table.live[k] is live
-        assert {first for first, _, _, live in table.runs if live} >= \
-            set(table.changes)
+        for k in range(table.k_lo, table.k_hi + 1):
+            first, end, graph, live = table.runs[table.run(k)]
+            assert first <= k < end
+            assert (graph, live) == index_run(demo, grid, k)[2:]
+
+    def test_nothing_kept_per_grid_index(self, demo, monkeypatch):
+        # 48 001 points on the demo: one graph_at call per run, and the
+        # table's memory does not grow with the points
+        grid = GridSpec(Fraction(1, 1500))
+        demo.graph_at(Q(0))  # the stream's own snapshots, built beforehand
+        calls = []
+        graph_at = LinkStream.graph_at
+
+        def counted(stream, t):
+            calls.append(t)
+            return graph_at(stream, t)
+
+        monkeypatch.setattr(LinkStream, "graph_at", counted)
+        tracemalloc.start()
+        try:
+            table = _GridTable(demo, grid, demo.alpha, demo.omega)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert table.k_hi - table.k_lo + 1 == 48_001 <= MAX_GRID_POINTS
+        assert len(calls) == len(table.runs)
+        assert peak < 256 * 1024, peak
 
     def test_closed_form_on_a_path(self):
         # one snapshot a - b - c over 17 indices: from (0, a) to (2, c),
@@ -342,6 +375,79 @@ class TestCrossRun:
         src, dst = TemporalNode(0, "a"), TemporalNode(2, "c")
         assert grid_count_shortest(stream, src, dst, grid) == (2, 153)
         assert reference_count_shortest(stream, src, dst, grid) == (2, 153)
+
+
+# -- run walks -------------------------------------------------------------
+#
+# The closures and reach scans walk the table's runs, one search per run;
+# the references below read the stream's snapshot at every grid index and
+# search at each.
+
+
+def reference_reach(graph, sources):
+    """The nodes that the sources reach inside one snapshot."""
+    seen, todo = set(sources), list(sources)
+    while todo:
+        new = set(graph.neighbors(todo.pop())) - seen
+        seen |= new
+        todo.extend(new)
+    return seen
+
+
+def reference_closure(stream, grid, v, ks):
+    """The nodes joined to v over the grid indices ks, crossed in order,
+    with one search at every index."""
+    seen = {v}
+    for k in ks:
+        seen = reference_reach(stream.graph_at(grid.time(k)), seen)
+    return seen
+
+
+def reference_reach_scan(stream, grid, k_hi, u, ks):
+    """arrival[y]: the first index from ks to k_hi at which y is joined to
+    u by a path whose first crossing is at ks; empty when u has no link at
+    ks."""
+    if not stream.graph_at(grid.time(ks)).neighbors(u):
+        return {}
+    arrival, seen = {}, {u}
+    for k in range(ks, k_hi + 1):
+        seen = reference_reach(stream.graph_at(grid.time(k)), seen)
+        for y in seen:
+            arrival.setdefault(y, k)
+    return arrival
+
+
+class TestRunWalks:
+    @settings(max_examples=100, deadline=None, derandomize=True,
+              database=None)
+    @given(kind=st.sampled_from(sorted(RUN_STREAMS)),
+           seed=st.integers(0, 10**6),
+           refine=st.sampled_from([2, 8, 24]),
+           parsed=st.booleans(),
+           picks=st.tuples(*[st.integers(0, 10**6)] * 4))
+    def test_match_a_search_at_every_index(self, kind, seed, refine, parsed,
+                                           picks):
+        stream = RUN_STREAMS[kind](seeded(seed))
+        if parsed:  # Fraction times, placed by the twin's ticks
+            stream = parse_stream(stream.serialize())
+        grid = GridSpec(Fraction(1, refine * stream.scale()))
+        times = run_times(stream, grid)
+        half = len(times) // 2 + 1  # lo in the first half, hi in the last
+        lo, hi = times[picks[0] % half], times[-1 - picks[1] % half]
+        inside = [t for t in times if lo <= t <= hi]
+        kt, ks = (grid.index(inside[i % len(inside)]) for i in picks[2:])
+        table = _GridTable(stream, grid, lo, hi)
+        k_lo, k_hi = table.k_lo, table.k_hi
+        for v in stream.nodes:
+            assert _through(table, kt, v) == (
+                reference_closure(stream, grid, v, range(kt, k_lo - 1, -1)),
+                reference_closure(stream, grid, v, range(kt, k_hi + 1)))
+            for outside in (k_lo - 1, k_hi + 1):
+                assert _through(table, outside, v) == (set(), set())
+            scans = dict(_reach_scans(table, v))
+            assert list(scans) == list(range(k_hi, k_lo - 1, -1))
+            assert scans[ks] == reference_reach_scan(stream, grid, k_hi, v,
+                                                     ks)
 
 
 class TestFastest:

@@ -417,6 +417,11 @@ class TestSlotOnTicks:
         for t in range(33):
             assert demo.slot(t) == reference_slot(demo, Q(t))
 
+    def test_float_time_rejected(self, demo):
+        with pytest.raises(TypeError,
+                           match=r"cannot convert 2\.0 to an exact rational"):
+            demo.slot(2.0)
+
 
 class TestWindowOnTicks:
     """The window check compares ticks; the reference compares the times
@@ -461,6 +466,11 @@ class TestGap:
     def test_off_event_time_is_in_its_gap(self, demo):
         for t in (Q(4), Q(9, 2), Q(1, 3), Q(63, 2)):
             assert demo.gap(t, True) == demo.gap(t, False) == demo.slot(t)
+
+    def test_float_time_rejected(self, demo):
+        with pytest.raises(TypeError,
+                           match=r"cannot convert 2\.0 to an exact rational"):
+            demo.gap(2.0, True)
 
     def test_none_beyond_the_window(self, demo):
         assert demo.gap(demo.alpha, False) is None
