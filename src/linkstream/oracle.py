@@ -295,21 +295,21 @@ def _keep_shortest(best, y, length, count):
 
 def grid_fastest(stream, src, dst_node, grid, arrive_by=None):
     """Minimal duration over grid-timed paths from src to dst_node arriving
-    by `arrive_by` (default omega); None when unreachable."""
+    by `arrive_by` (default omega), taken once per run; None if unreachable."""
     stream.check_temporal_node(src)
     if dst_node not in stream.nodes:
         raise GridError("unknown node %r" % dst_node)
     limit = stream.omega if arrive_by is None else arrive_by
     table = _GridTable(stream, grid, src.time, limit)
-    if src.node == dst_node:
+    if table.runs and src.node == dst_node:  # no run: arrive_by < src.time
         return Fraction(0)
-    best = None  # the shortest duration so far, in grid steps
-    for ks, scan in _reach_scans(table, src.node):
-        if dst_node in scan and (best is None or scan[dst_node] - ks < best):
-            best = scan[dst_node] - ks
+    best = never = table.k_hi - table.k_lo + 1  # longer than any, in steps
+    for _, end, scan in _reach_scans(table, src.node):
+        if dst_node in scan:  # from the run's last index, its fastest start
+            best = min(best, scan[dst_node] - (end - 1))
             if not best:  # none is shorter
                 break
-    return None if best is None else best * grid.step
+    return None if best == never else best * grid.step
 
 
 # -- contribution -------------------------------------------------------------
@@ -455,35 +455,34 @@ def _grid_contributions(table, u, w, arrivals, tv_idx):
 
 
 def _reach_scans(table, u):
-    """(ks, _reach_scan(table, u, ks)) for each ks of the table, from k_hi
-    down, with one scan per run, from its last index; only the last scan is
-    kept.  The scan from any other index ks of the run starts from the same
-    reach set of u and meets the same later runs, so it differs only in the
-    arrival of that first reach set, ks instead of the last index; every
-    later arrival is the first index of a later run."""
+    """(first, end, scan) for each run [first, end) of the table, from k_hi
+    down, with scan = _reach_scan(table, u, end - 1): one scan per run.  The
+    scan from any other start ks of the run starts from the same reach set
+    of u and meets the same later runs, so it differs only in the arrival
+    of that first reach set, ks instead of end - 1; every later arrival is
+    the first index of a later run.  So from ks, y arrives at ks if scan[y]
+    < end, and at scan[y] otherwise."""
     for first, end, _, _ in reversed(table.runs):
-        last = _reach_scan(table, u, end - 1)
-        for ks in range(end - 1, first - 1, -1):
-            yield ks, {y: ks if ka < end else ka for y, ka in last.items()}
+        yield first, end, _reach_scan(table, u, end - 1)
 
 
 def _grid_sums(stream, tvs, grid, lo, hi, dests, pairs):
     """Riemann-sum estimates, one per temporal node tv of tvs, of the sum of
     C_tv(u, w) over each node u and w of dests[u], on the grid over [lo,
-    hi] whose cell bound counts `pairs` node pairs.  One set of reach scans
-    per source serves all its pairs and queries.
+    hi] whose cell bound counts `pairs` node pairs.  One reach scan per run
+    and source serves all its pairs and queries.
 
     A path counted through (kt, v) is at v at index kt: its source reaches
     (kt, v) on [k_lo, kt], the back closure of (kt, v), and (kt, v) reaches
     its destination on [kt, k_hi], the fwd closure; this holds for a path
     that starts at (kt, v) or ends there too.  So only the sources in some
     back closure are scanned, and only their pairs (u, w) with w in the fwd
-    closure of a query whose back closure holds u.  Such a path also starts
-    at some first crossing ks <= kt and, since it is counted, arrives at w
-    at arrivals[ks] >= kt, the earliest arrival from ks (every counted path
-    from ks is a fastest one).  So a pair none of whose starts spans one of
-    those queried kt this way is skipped too.  Every pair skipped, and a
-    pair (u, u), adds 0 to every estimate."""
+    closure of a query whose back closure holds u.  Such a path is a fastest
+    one from its first crossing ks, so ks <= kt <= its arrival at w; some
+    start of a run [first, end) does so just when first <= kt <= scan[w]
+    (see _reach_scans), for a zero-duration run too, with scan[w] = end - 1.
+    So a pair none of whose runs spans one of those queried kt is skipped
+    too.  Every pair skipped, and a pair (u, u), adds 0 to every estimate."""
     for tv in tvs:
         stream.check_temporal_node(tv)
     table = _GridTable(stream, grid, lo, hi, pairs)
@@ -494,15 +493,15 @@ def _grid_sums(stream, tvs, grid, lo, hi, dests, pairs):
         queries = [(kt, fwd) for kt, back, fwd in through if u in back]
         ends = {w: [kt for kt, fwd in queries if w in fwd]
                 for w in ws if w != u}
-        ends = {w: kts for w, kts in ends.items() if kts}
-        if not ends:
+        if not any(ends.values()):
             continue
-        scans = dict(_reach_scans(table, u))
+        scans = list(_reach_scans(table, u))
         for w, kts in ends.items():
-            arrivals = {ks: scan[w] for ks, scan in scans.items()
-                        if w in scan}
-            if any(ks <= kt <= ka for ks, ka in arrivals.items()
-                   for kt in kts):
+            if any(w in scan and first <= kt <= scan[w]
+                   for first, _, scan in scans for kt in kts):
+                arrivals = {ks: ks if scan[w] < end else scan[w]
+                            for first, end, scan in scans if w in scan
+                            for ks in range(end - 1, first - 1, -1)}
                 part = _grid_contributions(table, u, w, arrivals, tv_idx)
                 totals = [a + b for a, b in zip(totals, part)]
     cell = grid.step * grid.step

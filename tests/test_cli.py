@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -89,6 +93,14 @@ class TestLatencies:
         assert code == 0
         assert out.splitlines()[0] == \
             "a: (0.143,0.143) (0.286,0.286) (0.333,0.333)"
+
+    def test_decimal_not_an_int_is_usage_error(self, capsys, demo_path):
+        code, out, err = invoke(
+            capsys, "latencies", "--stream", demo_path, "--source", "a",
+            "--decimal", "abc",
+        )
+        assert code == 2 and out == ""
+        assert "invalid int value: 'abc'" in err
 
 
 class TestContrib:
@@ -345,3 +357,36 @@ class TestDiagnostics:
     def test_unknown_subcommand(self, capsys):
         code, _, _ = invoke(capsys, "frobnicate")
         assert code == 2
+
+
+class TestMain:
+    """`main` exits with the code of `run` on the command-line arguments,
+    and `python -m linkstream.cli` runs it."""
+
+    @pytest.mark.parametrize("stream,tail,code", [
+        (None, (), 0),
+        ("/no/such/file.ls", (), 1),
+        (None, ("--samples", "2"), 2),
+    ], ids=["ok", "input_error", "usage_error"])
+    def test_exit_code(self, capsys, monkeypatch, demo_path, stream, tail,
+                       code):
+        monkeypatch.setattr(sys, "argv", ["linkstream", "latencies",
+                                          "--stream", stream or demo_path,
+                                          "--source", "a", *tail])
+        with pytest.raises(SystemExit) as info:
+            cli.main()
+        assert info.value.code == code
+        out, err = capsys.readouterr()
+        assert (out != "", err != "") == (code == 0, code != 0)
+
+    def test_module_runs_main(self, capsys, demo_path):
+        argv = ["latencies", "--stream", demo_path, "--source", "a"]
+        src = str(Path(cli.__file__).resolve().parents[1])
+        path = os.environ.get("PYTHONPATH")
+        env = dict(os.environ,
+                   PYTHONPATH=src if not path else src + os.pathsep + path)
+        child = subprocess.run([sys.executable, "-m", "linkstream.cli", *argv],
+                               capture_output=True, text=True, env=env,
+                               check=False)
+        assert child.returncode == 0 and child.stderr == ""
+        assert child.stdout == invoke(capsys, *argv)[1]

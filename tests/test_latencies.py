@@ -132,6 +132,10 @@ class TestLatencyLists:
         with pytest.raises(ValueError):
             LatencyList([Q(1), Q(2)], [Q(5), Q(4)])
 
+    def test_componentwise_increasing_accepted(self):
+        ll = LatencyList([Q(1), Q(2)], [Q(4), Q(5)])
+        assert pairs(ll) == [(1, 4), (2, 5)]
+
     def test_componentwise_increasing_on_demo(self, demo):
         for u in demo.nodes:
             for lst in latency_lists(demo, u).values():
@@ -183,6 +187,12 @@ class TestLatencyQuery:
         assert latency(
             demo, TemporalNode(Q(3), "a"), "e", arrive_by=Q(8)
         ) is None
+
+    def test_arrive_by_before_start(self, demo):
+        for w in ("a", "e"):
+            assert latency(
+                demo, TemporalNode(Q(10), "a"), w, arrive_by=Q(5)
+            ) is None
 
     def test_instantaneous(self, demo):
         assert latency(demo, TemporalNode(Q(4), "b"), "c") == 0
@@ -252,20 +262,24 @@ class TestTable:
 
 class TestAgainstOracle:
     def test_latency_matches_grid_fastest(self):
+        # by omega, and by a time before, at and after the source time, to
+        # the source node too
         rng = seeded(77)
         grid = GridSpec(Fraction(1, 2))
         for _ in range(15):
             stream = random_stream(rng)
             for _ in range(6):
-                x = Q(rng.randint(0, 20))
-                u = rng.choice(stream.nodes)
-                w = rng.choice(stream.nodes)
-                exact = latency(stream, TemporalNode(x, u), w)
-                est = grid_fastest(stream, TemporalNode(x, u), w, grid)
-                if exact is None:
-                    assert est is None
-                else:
-                    assert est == exact
+                k = rng.randint(0, 20)
+                x, u = Q(k), rng.choice(stream.nodes)
+                bys = [None, x, Q(rng.randint(2 * k, 40), 2)]
+                if k:
+                    bys.append(Q(rng.randint(0, 2 * k - 1), 2))
+                src = TemporalNode(x, u)
+                for w in (u, rng.choice(stream.nodes)):
+                    for by in bys:
+                        est = grid_fastest(stream, src, w, grid, arrive_by=by)
+                        assert est == latency(stream, src, w, arrive_by=by), \
+                            (x, u, w, by)
 
     def test_lists_match_their_definition(self):
         rng = seeded(79)

@@ -5,6 +5,7 @@ import sys
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -28,6 +29,7 @@ from linkstream import (
 from linkstream.oracle import (
     MAX_GRID_POINTS,
     _GridTable,
+    _grid_sums,
     _pair_counts,
     _reach_scan,
     _reach_scans,
@@ -417,6 +419,18 @@ def reference_reach_scan(stream, grid, k_hi, u, ks):
     return arrival
 
 
+def expand_scans(table, u):
+    """{ks: arrival map from the first crossing ks} at every index of the
+    table, read from the one scan per run of _reach_scans by its rule: from
+    a start ks of the run [first, end), y arrives at ks if scan[y] < end,
+    and at scan[y] otherwise."""
+    runs = list(_reach_scans(table, u))
+    assert [(first, end) for first, end, _ in runs] == [
+        run[:2] for run in reversed(table.runs)]
+    return {ks: {y: ks if ka < end else ka for y, ka in scan.items()}
+            for first, end, scan in runs for ks in range(first, end)}
+
+
 class TestRunWalks:
     @settings(max_examples=100, deadline=None, derandomize=True,
               database=None)
@@ -427,6 +441,12 @@ class TestRunWalks:
            picks=st.tuples(*[st.integers(0, 10**6)] * 4))
     def test_match_a_search_at_every_index(self, kind, seed, refine, parsed,
                                            picks):
+        """The closures, the reach scans expanded to every index, the
+        fastest durations and the pairs that _grid_sums scans, against
+        searches at every grid index.  The references scan from each index
+        of `inside` and from k_hi - 1, which hold the first and the last
+        index of every run: the snapshot is constant over a run, so a start
+        inside one is no faster than the run's last index."""
         stream = RUN_STREAMS[kind](seeded(seed))
         if parsed:  # Fraction times, placed by the twin's ticks
             stream = parse_stream(stream.serialize())
@@ -435,19 +455,62 @@ class TestRunWalks:
         half = len(times) // 2 + 1  # lo in the first half, hi in the last
         lo, hi = times[picks[0] % half], times[-1 - picks[1] % half]
         inside = [t for t in times if lo <= t <= hi]
-        kt, ks = (grid.index(inside[i % len(inside)]) for i in picks[2:])
+        kts = sorted({grid.index(inside[i % len(inside)]) for i in picks[2:]})
         table = _GridTable(stream, grid, lo, hi)
         k_lo, k_hi = table.k_lo, table.k_hi
+        closures, scans = {}, {}
         for v in stream.nodes:
-            assert _through(table, kt, v) == (
-                reference_closure(stream, grid, v, range(kt, k_lo - 1, -1)),
-                reference_closure(stream, grid, v, range(kt, k_hi + 1)))
+            for kt in kts:
+                closures[kt, v] = _through(table, kt, v)
+                assert closures[kt, v] == (
+                    reference_closure(stream, grid, v,
+                                      range(kt, k_lo - 1, -1)),
+                    reference_closure(stream, grid, v, range(kt, k_hi + 1)))
             for outside in (k_lo - 1, k_hi + 1):
                 assert _through(table, outside, v) == (set(), set())
-            scans = dict(_reach_scans(table, v))
-            assert list(scans) == list(range(k_hi, k_lo - 1, -1))
-            assert scans[ks] == reference_reach_scan(stream, grid, k_hi, v,
-                                                     ks)
+            scans[v] = expand_scans(table, v)
+            assert scans[v] == {ks: _reach_scan(table, v, ks)
+                                for ks in range(k_lo, k_hi + 1)}
+            ref = {}
+            for ks in {grid.index(t) for t in inside} | {max(k_lo, k_hi - 1)}:
+                ref[ks] = reference_reach_scan(stream, grid, k_hi, v, ks)
+                assert scans[v][ks] == ref[ks]
+            for w in stream.nodes:
+                least = min((arrival[w] - ks for ks, arrival in ref.items()
+                             if w in arrival), default=None)
+                got = grid_fastest(stream, TemporalNode(lo, v), w, grid,
+                                   arrive_by=hi)
+                if w == v:
+                    assert got == 0
+                else:
+                    assert got == (None if least is None
+                                   else least * grid.step), (v, w)
+        # _grid_sums walks a pair (u, w) just when a start ks reaches w at
+        # some ka >= kt of a query (kt, v) whose closures hold u and w, and
+        # hands it the arrivals at w from every start
+        walked = {}
+
+        def recorded(table, u, w, arrivals, tv_idx):
+            walked[u, w] = arrivals
+            return [Fraction(0)] * len(tv_idx)
+
+        tvs = [TemporalNode(grid.time(kt), v) for kt, v in closures]
+        nodes = stream.nodes
+        with mock.patch.object(linkstream.oracle, "_grid_contributions",
+                               recorded):
+            _grid_sums(stream, tvs, grid, lo, hi, dict.fromkeys(nodes, nodes),
+                       len(nodes) * (len(nodes) - 1))
+        for u in nodes:
+            for w in nodes:
+                arrivals = {ks: arrival[w] for ks, arrival in scans[u].items()
+                            if w in arrival}
+                ends = [kt for (kt, v), (back, fwd) in closures.items()
+                        if u in back and w in fwd]
+                spans = u != w and any(ks <= kt <= ka for kt in ends
+                                       for ks, ka in arrivals.items())
+                assert ((u, w) in walked) == spans, (u, w)
+                if spans:
+                    assert walked[u, w] == arrivals
 
 
 class TestFastest:
@@ -467,6 +530,8 @@ class TestFastest:
         # an empty range is no error for the path entry points
         grid = GridSpec(Fraction(1))
         assert grid_fastest(demo, tn(10, "a"), "e", grid, arrive_by=Q(5)) \
+            is None
+        assert grid_fastest(demo, tn(10, "a"), "a", grid, arrive_by=Q(5)) \
             is None
         assert grid_count_shortest(demo, tn(10, "a"), tn(5, "e"), grid) == \
             (None, 0)
@@ -800,12 +865,13 @@ class TestPruning:
     @MAKES
     @pytest.mark.parametrize("seed", range(4))
     def test_shared_reach_scans(self, make, seed):
-        # one search per run of indices that share a snapshot gives the
-        # scans of a search from every index
+        # one search per run of indices that share a snapshot, expanded by
+        # the rule of _reach_scans, gives the scans of a search from every
+        # index
         stream, _, grid = pruning_case(make, 1500 + seed)
         table = _GridTable(stream, grid, stream.alpha, stream.omega)
         for u in stream.nodes:
-            assert dict(_reach_scans(table, u)) == {
+            assert expand_scans(table, u) == {
                 ks: _reach_scan(table, u, ks)
                 for ks in range(table.k_lo, table.k_hi + 1)}
 

@@ -164,6 +164,18 @@ class TestParseStream:
         assert again.serialize() == text
         assert betweenness(again, TemporalNode(Q(5), "x")) == 0
 
+    def test_link_on_unknown_node_rejected(self):
+        with pytest.raises(StreamError, match="unknown node"):
+            LinkStream(Q(0), Q(10), ["a", "b"], {("a", "z"): [(Q(1), Q(2))]})
+
+    def test_both_orders_of_a_pair_merge(self):
+        stream = LinkStream(Q(0), Q(10), ["a", "b"],
+                            {("a", "b"): [(Q(1), Q(3))],
+                             ("b", "a"): [(Q(2), Q(5)), (Q(7), Q(8))]})
+        assert list(stream.presence) == [("a", "b")]
+        assert list(stream.presence[("a", "b")]) == [(Q(1), Q(5)),
+                                                     (Q(7), Q(8))]
+
     def test_node_line_declares_node(self):
         stream = parse_stream("0 10\nq\na b 1 2\n")
         assert stream.nodes == ("a", "b", "q")

@@ -27,6 +27,16 @@ class TestConstruction:
         assert volume(0, 3) == V_ZERO
         assert volume(Q(0), 0) == V_ZERO
 
+    def test_nonzero_size_is_kept(self):
+        assert volume(Q(3, 2), 2) == Volume(Q(3, 2), 2)
+        assert volume(3, 1) == Volume(Q(3), 1)
+        assert type(volume(3, 1).size) is Q
+
+    def test_float_size_rejected(self):
+        with pytest.raises(TypeError,
+                           match="cannot convert 0.5 to an exact rational"):
+            volume(0.5, 1)
+
     def test_render(self):
         assert Volume(Q(11, 2), 4).render() == "11/2 4"
         assert Volume(Q(8), 3).render() == "8 3"
