@@ -104,16 +104,13 @@ def _reach_set(graph, sources):
     return seen
 
 
-def _has_edges(graph):
-    return any(graph.adjacency[v] for v in graph.nodes)
-
-
 class _GridTable:
-    """The runs of grid indices of [k_lo, k_hi] that share one snapshot, in
-    order, as (first index, end, graph, live): the run is [first, end), and
-    live when its snapshot has links.  k_lo and k_hi are those of the times
-    lo and hi, on a grid checked against the stream.  Built once and shared
-    by every scan of one entry-point call, with the BFS of each snapshot and
+    """The maximal runs of grid indices of [k_lo, k_hi] that share one
+    snapshot, in order, as (first index, end, graph): the run is [first,
+    end), and two adjacent runs have different graphs (the stream gives one
+    graph object per set of links).  k_lo and k_hi are those of the times lo
+    and hi, on a grid checked against the stream.  Built once and shared by
+    every scan of one entry-point call, with the BFS of each snapshot and
     node that its shortest-path steps have needed; nothing is kept per grid
     index."""
 
@@ -137,12 +134,14 @@ class _GridTable:
         resolve = {k_lo, k_hi}
         resolve.update(events)
         resolve.update(e + 1 for e in events)
-        # each resolved index starts a run of indices that share its snapshot
+        # a resolved index starts a run unless the last run has its graph
         firsts = sorted(k for k in resolve if k_lo <= k <= k_hi)
-        self.runs = []
+        self.runs = runs = []
         for k, end in zip(firsts, firsts[1:] + [k_hi + 1]):
             g = stream.graph_at(grid.time(k))
-            self.runs.append((k, end, g, _has_edges(g)))
+            if runs and runs[-1][2] is g:
+                k = runs.pop()[0]
+            runs.append((k, end, g))
         self._searched = {}
 
     def run(self, k):
@@ -159,13 +158,10 @@ class _GridTable:
         """`avail` (node -> (length, count) of the shortest paths so far)
         extended by the paths that go on over one or more links at one grid
         index of the run, each leg a shortest path of its snapshot.  A new
-        map; `avail` itself when the snapshot has no links."""
-        _, _, g, live = run
-        if not live:
-            return avail
+        map, equal to `avail` when the snapshot has no links."""
         out = dict(avail)
         for x, (lx, cx) in avail.items():
-            dist, count = self._search(g, x)
+            dist, count = self._search(run[2], x)
             for y, dy in dist.items():
                 if dy:
                     _keep_shortest(out, y, lx + dy, cx * count[y])
@@ -187,10 +183,10 @@ class _GridTable:
         crossing, a sum of at most max L - min L + 1 non-zero terms.  The
         searches are those of r single crossings: one from each node before
         the first crossing and, when r > 1, one from each node after it."""
-        first, end, g, _ = run
+        first, end, g = run
         r = end - first
         out = self.cross(run, avail)
-        if r == 1 or out is avail:
+        if r == 1:
             return out
         tight = {}  # x -> [(y, N[x][y])] over the non-zero entries
         for x, (lx, _) in out.items():
@@ -214,14 +210,13 @@ class _GridTable:
 
 def _closure(v, runs):
     """The nodes joined to v over the runs, crossed in that order, with one
-    reach set per live run (a reach set is closed under its snapshot, so a
+    reach set per run (a reach set is closed under its snapshot, so a
     second search in the same run adds nothing): for runs in increasing
     order, those that v reaches; in decreasing order (the snapshots are
     undirected), those that reach v."""
     seen = {v}
-    for _, _, g, live in runs:
-        if live:
-            seen = _reach_set(g, seen)
+    for _, _, g in runs:
+        seen = _reach_set(g, seen)
     return seen
 
 
@@ -241,19 +236,18 @@ def _reach_scan(table, u, ks):
     """arrival[y] = earliest grid index a with a path u -> y whose first
     crossing is exactly at ks and last crossing at a (arrival[u] = ks); empty
     when u has no link at ks.  After the reach set of u at ks, the set grows
-    only over the live runs after the one of ks, each at its first index."""
+    only over the runs after the one of ks, each at its first index."""
     r = table.run(ks)
     g = table.runs[r][2]
     if not g.neighbors(u):
         return {}
     arrival = dict.fromkeys(_reach_set(g, [u]), ks)
     n = len(g.nodes)
-    for first, _, g, live in table.runs[r + 1:]:
+    for first, _, g in table.runs[r + 1:]:
         if len(arrival) == n:
             break
-        if live:
-            for y in _reach_set(g, arrival):
-                arrival.setdefault(y, first)
+        for y in _reach_set(g, arrival):
+            arrival.setdefault(y, first)
     return arrival
 
 
@@ -462,7 +456,7 @@ def _reach_scans(table, u):
     of that first reach set, ks instead of end - 1; every later arrival is
     the first index of a later run.  So from ks, y arrives at ks if scan[y]
     < end, and at scan[y] otherwise."""
-    for first, end, _, _ in reversed(table.runs):
+    for first, end, _ in reversed(table.runs):
         yield first, end, _reach_scan(table, u, end - 1)
 
 

@@ -100,10 +100,10 @@ def _advance(stream, gap, nxt, span, dist_t, vol_t):
 class SweepTables:
     """Distance/volume tables from one source temporal node.  The sweep
     advances on demand: reading the state at an event time runs the steps
-    up to it that have not run yet, and an off-event time extends the state
-    at the event time before it.  The source is placed once, before event
-    time `first`: step n arrives at event time first + n - 1, or at omega in
-    the last gap, and takes its slots from that index."""
+    up to it that have not run yet, and an off-event time, omega included,
+    extends the state at the event time before it (or at the source).  The
+    source is placed once, before event time `first`: step n arrives at
+    event time first + n - 1, and takes its slots from that index."""
 
     def __init__(self, stream, i, u):
         self.stream = stream
@@ -111,8 +111,6 @@ class SweepTables:
         slot = stream.slot(i)
         self.first = (slot + 1) // 2
         self.times = [i] + stream._event_times[self.first:]
-        if self.times[-1] < stream.omega:
-            self.times.append(stream.omega)
         init = stream.bfs(slot, u)
         dist = dict(init.dist)
         self.states = [(dist, {w: Volume(init.count[w], 0) for w in dist})]
@@ -128,8 +126,8 @@ class SweepTables:
         stream, states, times = self.stream, self.states, self.times
         while len(states) <= k:
             n = len(states)
-            slot = min(2 * (self.first + n) - 1, 2 * len(stream._event_times))
-            states.append(_advance(stream, slot - (slot & 1), slot,
+            slot = 2 * (self.first + n) - 1
+            states.append(_advance(stream, slot - 1, slot,
                                    times[n] - times[n - 1], *states[-1]))
         return states[k]
 
@@ -137,12 +135,9 @@ class SweepTables:
         """(dist, vol) maps at time j >= source time."""
         times = self.times
         slot = self.stream.slot(j)
-        # k counts the event times on the table up to j; omega off the event
-        # times shares the last gap's slot, so it is found by its value
+        # k counts the event times on the table up to j
         k = (slot + 1) // 2 - self.first
-        if times[-1] == j:
-            k = len(times) - 1
-        elif k <= 0 and j < times[0]:
+        if k <= 0 and j < times[0]:
             raise StreamError("query time %s before source time %s"
                               % (j, self.source[0]))
         if times[k] == j:

@@ -162,9 +162,9 @@ class LinkStream:
         self._end_ticks, self._event_ticks = ticks[:2], ticks[2:]
         # Tables that do not depend on a query's source, filled on first use
         # and shared by every query.
-        self._snapshots = None  # slot -> SnapshotGraph
-        self._components = {}  # slot -> components of two or more nodes
-        self._bfs = {}  # (slot, node) -> BfsResult
+        self._snapshots = None  # slot -> SnapshotGraph, one per link set
+        self._components = {}  # SnapshotGraph -> components of 2+ nodes
+        self._bfs = {}  # (SnapshotGraph, node) -> BfsResult
         self._sweeps = {}  # (time, node) -> shortest_volumes.SweepTables
         self._latency_lists = {}  # source -> latencies.latency_lists result
         self._twin = None  # lattice() at _scale: this stream or an int copy
@@ -213,14 +213,14 @@ class LinkStream:
         """Slot of the open gap just after t (forward) or just before t: the
         gap holding t when t is not an event time.  None at the window end
         on that side, where no gap lies beyond t."""
+        k = self.slot(t)
         if t == (self.omega if forward else self.alpha):
             return None
-        k = self.slot(t)
         return k + (k & 1) if forward else k - (k & 1)
 
     def snapshot(self, k):
-        """The graph of slot k; all slots are built in one pass over the
-        sorted interval endpoints on first use."""
+        """The graph of slot k, one graph per set of links: all slots are
+        built in one pass over the sorted interval endpoints on first use."""
         if self._snapshots is None:
             starts, ends = {}, {}
             for pair, ivs in self.presence.items():
@@ -228,23 +228,32 @@ class LinkStream:
                     starts.setdefault(b, []).append(pair)
                     ends.setdefault(e, []).append(pair)
             active = {}  # insertion-ordered set of present pairs
-            graphs = [SnapshotGraph(self.nodes, ())]
+            graphs = {}  # frozenset of present pairs -> its graph
+
+            def graph():
+                key = frozenset(active)
+                if key not in graphs:
+                    graphs[key] = SnapshotGraph(self.nodes, active)
+                return graphs[key]
+
+            slots = [graph()]
             for t in self._event_times:
                 active.update(dict.fromkeys(starts.get(t, ())))
-                graphs.append(SnapshotGraph(self.nodes, active))
+                slots.append(graph())
                 for pair in ends.get(t, ()):
                     del active[pair]
-                graphs.append(SnapshotGraph(self.nodes, active))
-            self._snapshots = graphs
+                slots.append(graph())
+            self._snapshots = slots
         return self._snapshots[k]
 
     def components(self, k):
         """The connected components of two or more nodes in the graph of
-        slot k (cached): a search starts only at a node with a link, so the
-        others cost nothing."""
-        comps = self._components.get(k)
+        slot k (cached per graph): a search starts only at a node with a
+        link, so the others cost nothing."""
+        g = self.snapshot(k)
+        comps = self._components.get(g)
         if comps is None:
-            adj = self.snapshot(k).adjacency
+            adj = g.adjacency
             comps, seen = [], set()
             for start, nbrs in adj.items():
                 if not nbrs or start in seen:
@@ -257,16 +266,16 @@ class LinkStream:
                             todo.append(y)
                 seen |= comp
                 comps.append(comp)
-            self._components[k] = comps
+            self._components[g] = comps
         return comps
 
     def bfs(self, k, w):
         """BFS distances and path counts from w in the graph of slot k
-        (cached)."""
-        res = self._bfs.get((k, w))
+        (cached per graph)."""
+        key = (self.snapshot(k), w)
+        res = self._bfs.get(key)
         if res is None:
-            res = bfs_counts(self.snapshot(k), w)
-            self._bfs[(k, w)] = res
+            res = self._bfs[key] = bfs_counts(key[0], w)
         return res
 
     def check_nodes(self, *nodes):

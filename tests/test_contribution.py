@@ -112,11 +112,13 @@ class TestBoundaryLists:
 
     def test_float_anchor_rejected(self, demo):
         # with d_anchor given, an instantaneous anchor is placed among the
-        # gaps before anything else checks its time
+        # gaps before anything else checks its time, at the window ends too
         ll = latency_lists(demo, "a")["b"]
-        with pytest.raises(TypeError,
-                           match=r"cannot convert 2\.0 to an exact rational"):
-            prev_list(demo, "a", "b", 2.0, 2.0, ll, d_anchor=1)
+        for scan, t in [(prev_list, 2.0), (next_list, 2.0), (prev_list, 0.0),
+                        (next_list, 32.0)]:
+            with pytest.raises(TypeError, match="cannot convert %r to an "
+                               "exact rational" % t):
+                scan(demo, "a", "b", t, t, ll, d_anchor=1)
 
 
 class TestCellRatio:

@@ -100,7 +100,7 @@ class TestDemand:
         })
         src = TemporalNode(0, "a")
         tables = sweep_tables(stream, 0, "a")
-        assert tables.times == [0, 1, 3, 5, 6, 9, 12, 14, 17, 20]
+        assert tables.times == [0, 1, 3, 5, 6, 9, 12, 14, 17]
         vsp(stream, src, TemporalNode(0, "b"))
         assert tables.steps_run == 0
         vsp(stream, src, TemporalNode(Q(1, 2), "b"))  # a gap extension
@@ -110,17 +110,22 @@ class TestDemand:
             assert tables.steps_run == j
             # earlier times and gap extensions after t run nothing more
             vsp(stream, src, TemporalNode(0, "c"))
-            vsp(stream, src, TemporalNode(t + Q(1, 3) if t < 20 else t, "c"))
+            vsp(stream, src, TemporalNode(t + Q(1, 3), "c"))
             assert tables.steps_run == j
+        # omega, off the event times, is a gap extension too
+        vsp(stream, src, TemporalNode(20, "c"))
+        assert tables.steps_run == 8 and 20 in tables._extensions
 
     def test_off_lattice_source(self):
         stream = LinkStream(0, 10, "ab", {("a", "b"): [(2, 4), (6, 8)]})
         tables = sweep_tables(stream, Q(5, 2), "a")
-        assert tables.times == [Q(5, 2), 4, 6, 8, 10]
+        assert tables.times == [Q(5, 2), 4, 6, 8]
         vsp(stream, TemporalNode(Q(5, 2), "a"), TemporalNode(Q(7, 2), "b"))
         assert tables.steps_run == 0
         vsp(stream, TemporalNode(Q(5, 2), "a"), TemporalNode(6, "b"))
         assert tables.steps_run == 2
+        vsp(stream, TemporalNode(Q(5, 2), "a"), TemporalNode(10, "b"))
+        assert tables.steps_run == 3 and 10 in tables._extensions
 
 
 def widened(stream, omega_event):
@@ -138,10 +143,11 @@ def typed(result):
 
 
 class TestSweepAtTheWindowEnd:
-    """Sweep step n arrives at the slot of event time first + n - 1, or of
-    the last gap at omega.  Sources at alpha, in the last gap, at the last
-    event time and at omega, each read at omega and just before it, give
-    what a fresh stream gives for that read alone, whatever the order."""
+    """Sweep step n arrives at the slot of event time first + n - 1; omega
+    off the event times is read as a gap extension, like any other time
+    off them.  Sources at alpha, in the last gap, at the last event time
+    and at omega, each read at omega and just before it, give what a fresh
+    stream gives for that read alone, whatever the order."""
 
     @pytest.mark.parametrize("omega_event", [False, True], ids=["gap", "event"])
     @pytest.mark.parametrize("kind", sorted(STREAMS))
@@ -164,11 +170,11 @@ class TestSweepAtTheWindowEnd:
             single[src, dst] = typed(vsp(alone, src, dst))
             tables = sweep_tables(alone, *src)
             planned = [src.time] + [e for e in events if e > src.time]
-            if planned[-1] < omega:
-                planned.append(omega)
             assert tables.times == planned
             assert tables.steps_run == sum(1 for t in tables.times[1:]
                                            if t <= dst.time)
+            assert (dst.time in tables._extensions) == (
+                dst.time not in tables.times)
         for order in (queries, queries[::-1]):
             shared = fresh(stream)
             latest = {}

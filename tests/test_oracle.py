@@ -184,8 +184,9 @@ class TestCountShortest:
         assert abs(rich - 2) <= Fraction(2) * Fraction(5, 100)
 
     def test_one_bfs_per_snapshot_and_node(self, demo, monkeypatch):
-        # at step 1/8, (0,a) -> (32,e) meets 166 distinct (snapshot, node)
-        # pairs at its 768 (grid index, available node) states
+        # at step 1/8, (0,a) -> (32,e) meets 53 distinct (snapshot, node)
+        # pairs at its 768 (grid index, available node) states: the demo's
+        # 49 slots hold 11 distinct graphs
         calls = []
         bfs = linkstream.oracle._static_dist_counts
 
@@ -198,7 +199,7 @@ class TestCountShortest:
             demo, tn(0, "a"), tn(32, "e"), GridSpec(Fraction(1, 8))
         )
         assert got == (3, 5742)
-        assert len(calls) == len(set(calls)) == 166
+        assert len(calls) == len(set(calls)) == 53
 
     def test_snapshot_ties(self):
         # two shortest paths a-b-d and a-c-d inside the one snapshot at 1
@@ -222,10 +223,13 @@ class TestCountShortest:
 
 
 def index_run(stream, grid, k):
-    """The one-index run (k, k + 1, graph, live) of grid index k, its graph
-    read from the stream at that index's time, not from a table's runs."""
-    graph = stream.graph_at(grid.time(k))
-    return k, k + 1, graph, any(map(graph.neighbors, graph.nodes))
+    """The one-index run (k, k + 1, graph) of grid index k, its graph read
+    from the stream at that index's time, not from a table's runs."""
+    return k, k + 1, stream.graph_at(grid.time(k))
+
+
+def linked(graph):
+    return any(map(graph.neighbors, graph.nodes))
 
 
 def reference_count_shortest(stream, src, dst, grid):
@@ -310,7 +314,7 @@ class TestCrossRun:
         # on a few streams; the windows start and end inside runs with
         # links and inside runs without, and cross runs of many indices
         rng = seeded(4040)
-        inside = {True: [0, 0], False: [0, 0]}  # live -> [starts, ends]
+        inside = {True: [0, 0], False: [0, 0]}  # linked -> [starts, ends]
         longest = 0
         for _ in range(3):
             stream = RUN_STREAMS[kind](rng)
@@ -325,28 +329,29 @@ class TestCrossRun:
                         reference_count_shortest(stream, src, dst, grid)
                     for end, t in enumerate((t1, t2)):
                         k = grid.index(t)
-                        for first, stop, _, live in whole.runs:
+                        for first, stop, graph in whole.runs:
                             if first < k < stop - 1:
-                                inside[live][end] += 1
-            longest = max(longest, max(stop - first for first, stop, _, live
-                                       in whole.runs if live))
+                                inside[linked(graph)][end] += 1
+            longest = max(longest, max(stop - first for first, stop, graph
+                                       in whole.runs if linked(graph)))
         assert all(all(counts) for counts in inside.values()), inside
         assert longest >= 16
 
     def test_runs_tile_the_table(self, demo):
         grid = GridSpec(Fraction(1, 8))
         table = _GridTable(demo, grid, Q(3, 2), Q(20))
-        firsts = [first for first, _, _, _ in table.runs]
+        firsts = [first for first, _, _ in table.runs]
         assert firsts[0] == table.k_lo == 12
-        assert [end for _, end, _, _ in table.runs] == firsts[1:] + [161]
+        assert [end for _, end, _ in table.runs] == firsts[1:] + [161]
         for k in range(table.k_lo, table.k_hi + 1):
-            first, end, graph, live = table.runs[table.run(k)]
+            first, end, graph = table.runs[table.run(k)]
             assert first <= k < end
-            assert (graph, live) == index_run(demo, grid, k)[2:]
+            assert graph is index_run(demo, grid, k)[2]
 
     def test_nothing_kept_per_grid_index(self, demo, monkeypatch):
-        # 48 001 points on the demo: one graph_at call per run, and the
-        # table's memory does not grow with the points
+        # 48 001 points on the demo: one graph_at call per resolved index
+        # (the window ends, each event index and the one after it), 29
+        # maximal runs, and the table's memory does not grow with the points
         grid = GridSpec(Fraction(1, 1500))
         demo.graph_at(Q(0))  # the stream's own snapshots, built beforehand
         calls = []
@@ -364,7 +369,8 @@ class TestCrossRun:
         finally:
             tracemalloc.stop()
         assert table.k_hi - table.k_lo + 1 == 48_001 <= MAX_GRID_POINTS
-        assert len(calls) == len(table.runs)
+        assert len(calls) == 50
+        assert len(table.runs) == 29
         assert peak < 256 * 1024, peak
 
     def test_closed_form_on_a_path(self):
@@ -377,6 +383,112 @@ class TestCrossRun:
         src, dst = TemporalNode(0, "a"), TemporalNode(2, "c")
         assert grid_count_shortest(stream, src, dst, grid) == (2, 153)
         assert reference_count_shortest(stream, src, dst, grid) == (2, 153)
+
+
+# -- one graph per link set ------------------------------------------------
+#
+# The stream gives one graph object per set of links, and a grid table's
+# runs are the maximal stretches of one graph.  The references below build
+# each slot's links from the presence intervals, and split a table's runs at
+# every resolved index, which must leave every oracle output the same.
+
+
+def reference_links(stream, k):
+    """The pairs present in slot k, read off the intervals at one time of
+    the slot: event time i for slot 2i + 1, and a time inside the open gap
+    for slot 2i."""
+    events = stream.event_times()
+    if k % 2:
+        t = events[k // 2]
+    elif not events:
+        return frozenset()
+    elif k == 0:
+        t = events[0] - 1
+    elif k == 2 * len(events):
+        t = events[-1] + 1
+    else:
+        t = (Fraction(events[k // 2 - 1]) + events[k // 2]) / 2
+    return frozenset(pair for pair, ivs in stream.presence.items() if t in ivs)
+
+
+def reference_adjacency(nodes, links):
+    return {v: sorted(y for pair in links if v in pair
+                      for y in pair if y != v) for v in nodes}
+
+
+class UnmergedTable(_GridTable):
+    """A _GridTable whose runs are cut at every resolved index inside them
+    (each event index and the one after it), so that adjacent runs may
+    share a graph."""
+
+    def __init__(self, stream, grid, lo, hi, pairs=0):
+        super().__init__(stream, grid, lo, hi, pairs)
+        events = grid.check_stream(stream)
+        cuts = {*events, *(e + 1 for e in events)}
+        runs = []
+        for first, end, graph in self.runs:
+            starts = [first] + sorted(k for k in cuts if first < k < end)
+            runs += [(a, b, graph) for a, b in zip(starts, starts[1:] + [end])]
+        self.runs = runs
+
+
+class TestInternedGraphs:
+    def test_demo_slots_share_eleven_graphs(self, demo):
+        graphs = [demo.snapshot(k)
+                  for k in range(2 * len(demo.event_times()) + 1)]
+        assert len(graphs) == 49
+        assert len(set(map(id, graphs))) == 11
+
+    @settings(max_examples=100, deadline=None, derandomize=True,
+              database=None)
+    @given(kind=st.sampled_from(sorted(RUN_STREAMS)),
+           seed=st.integers(0, 10**6),
+           refine=st.sampled_from([2, 8, 24]),
+           parsed=st.booleans(),
+           picks=st.tuples(*[st.integers(0, 10**6)] * 6))
+    def test_one_graph_per_link_set(self, kind, seed, refine, parsed, picks):
+        stream = RUN_STREAMS[kind](seeded(seed))
+        if parsed:  # Fraction times, placed by the twin's ticks
+            stream = parse_stream(stream.serialize())
+        slots = range(2 * len(stream.event_times()) + 1)
+        links = [reference_links(stream, k) for k in slots]
+        graphs = [stream.snapshot(k) for k in slots]
+        for j in slots:
+            assert {v: sorted(nbrs) for v, nbrs in
+                    graphs[j].adjacency.items()} == \
+                reference_adjacency(stream.nodes, links[j])
+            for k in slots:
+                assert (graphs[j] is graphs[k]) == (links[j] == links[k])
+
+        grid = GridSpec(Fraction(1, refine * stream.scale()))
+        times = run_times(stream, grid)
+        lo, hi = sorted(times[i % len(times)] for i in picks[:2])
+        table = _GridTable(stream, grid, lo, hi)
+        runs = table.runs
+        assert [first for first, _, _ in runs] == \
+            [table.k_lo] + [end for _, end, _ in runs[:-1]]
+        assert runs[-1][1] == table.k_hi + 1
+        assert all(first < end for first, end, _ in runs)
+        assert all(a[2] is not b[2] for a, b in zip(runs, runs[1:]))
+        for t in times:
+            k = grid.index(t)
+            if lo <= t <= hi:
+                assert runs[table.run(k)][2] is stream.graph_at(t)
+
+        u, w = (stream.nodes[i % len(stream.nodes)] for i in picks[2:4])
+        src, dst = TemporalNode(lo, u), TemporalNode(hi, w)
+        tvs = [TemporalNode(times[i % len(times)], stream.nodes[i % 7 % len(
+            stream.nodes)]) for i in picks[4:]]
+
+        def outputs():
+            return (typed_count(grid_count_shortest(stream, src, dst, grid)),
+                    grid_fastest(stream, src, w, grid, arrive_by=hi),
+                    grid_betweenness(stream, tvs, grid))
+
+        merged = outputs()
+        with mock.patch.object(linkstream.oracle, "_GridTable",
+                               UnmergedTable):
+            assert outputs() == merged
 
 
 # -- run walks -------------------------------------------------------------

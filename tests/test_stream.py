@@ -480,9 +480,11 @@ class TestGap:
             assert demo.gap(t, True) == demo.gap(t, False) == demo.slot(t)
 
     def test_float_time_rejected(self, demo):
-        with pytest.raises(TypeError,
-                           match=r"cannot convert 2\.0 to an exact rational"):
-            demo.gap(2.0, True)
+        # at the window ends too, where no gap lies beyond t
+        for t, forward in [(2.0, True), (32.0, True), (0.0, False)]:
+            with pytest.raises(TypeError, match="cannot convert %r to an "
+                               "exact rational" % t):
+                demo.gap(t, forward)
 
     def test_none_beyond_the_window(self, demo):
         assert demo.gap(demo.alpha, False) is None
