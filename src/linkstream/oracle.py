@@ -11,15 +11,19 @@ durations and path lengths are exact once the step divides the event-time
 lattice.
 """
 
-from bisect import bisect_right, insort
+from bisect import bisect_left, bisect_right, insort
 from fractions import Fraction
+from math import lcm
 from operator import add, itemgetter
 
 MAX_GRID_POINTS = 50_000  # the largest grid one oracle call will scan
 # The most (first crossing, last crossing) cells the Riemann sums of one
 # call may walk: points * (points + 1) / 2 per ordered node pair.  A cell
-# cost from 25 ns to 1.6 us in measurements on 2 CPUs under Python 3.11, so
-# a call at the limit takes up to about half a minute.
+# cost from under 1 ns to 1.04 us in measurements on 2 CPUs under Python
+# 3.11; the costliest, 12 M cells, was a link switched on and off 500 times
+# beside a two-link relay, at step 1/2 with four queries, where each column
+# walks hundreds of zero-duration blocks.  So a call at the limit takes up
+# to about 20 s.
 MAX_GRID_CELLS = 20_000_000
 
 
@@ -380,24 +384,71 @@ def _grid_contributions(table, u, w, arrivals, tv_idx):
     """Riemann sums, in units of one grid cell, of the contribution of
     (u, w) to the betweenness of every temporal node in tv_idx (as (grid
     index, node)).  arrivals[ks] is the earliest arrival index at w from the
-    first crossing ks (see _reach_scan), for each ks from which w is
+    first crossing ks (see _reach_scans), for each ks from which w is
     reached.
 
-    A path counted through (kt, v) is at v at index kt, so ks <= kt <=
-    arrivals[ks] for its first crossing ks.  So a column kj < min kt has
-    through counts 0 and is not walked (its usable starts are still
+    Cell (ki, kj) aggregates the usable starts ks in [ki, kj], those with
+    arrivals[ks] <= kj: the fastest ones, then the shortest among those
+    (see _fold).  A path counted through (kt, v) is at v at index kt, so ks
+    <= kt <= arrivals[ks] for its first crossing ks.  So a column kj < min
+    kt has through counts 0 and is not walked (its usable starts are still
     recorded for the later columns).  And a start after the last kt has
-    through counts 0: it only helps choose the fastest, then shortest,
-    starts of a cell and their count.  It lies above every row at or
-    before the last kt, so each of those rows aggregates every late start
-    usable so far.  These are folded into one aggregate as they become
-    usable (_fold does not depend on order), and each column walks only
-    the starts at or before the last kt, down from that aggregate.  The
-    rows above the last kt hold only late starts: their cells add 0 and
-    need no walk."""
+    through counts 0: it only helps choose the aggregate of a cell.  It
+    lies above every row at or before the last kt, so each of those rows
+    aggregates every late start usable so far.  These are folded into one
+    aggregate as they become usable (_fold does not depend on order), and
+    each column walks only the starts at or before the last kt, down from
+    that aggregate; the rows above the last kt hold only late starts, so
+    their cells add 0.  The usable starts, and so the whole column kj,
+    change only where kj is an arrival index: each distinct column is
+    walked once, and its sums count for every kj up to the next arrival
+    index.
+
+    A zero-duration run is a run [a, b) of the table from whose starts w
+    is reached at once: every start ks of it arrives at ks (see
+    _reach_scans).  The walk treats the usable starts of one as a block,
+    by three facts:
+
+    1. Every start of the run has the same triple.  _pair_counts from ks
+       to ks sweeps the one index ks, whose snapshot g is that of the whole
+       run: the length and count are those of the shortest u-w paths of g,
+       (L, c), for every ks.  Its sweeps hold index ks only, so the count
+       through (kt, v) is 0 unless kt == ks, and then it is c for v in (u,
+       w) and the product of the counts of the shortest u-v and v-w paths
+       of g when their lengths sum to L, else 0: one value tau that does
+       not depend on ks.  So one _pair_counts call per run gives (L, c),
+       and one at each queried kt inside it gives tau.
+    2. Positive starts can be skipped.  Below an aggregate of duration 0,
+       _fold returns it unchanged at every start of positive duration (its
+       duration is larger), and no start is faster, so the aggregate keeps
+       duration 0 all the way down.  So once a column's walk has met a
+       block, or starts from a late aggregate of duration 0, it goes on
+       from block to block, and the cells in between get one add.
+    3. Counts grow arithmetically inside a block.  Walk the block's rows
+       ki = t, t - 1, ..., a (t its last usable start) down from an
+       aggregate of duration d, length l and count n.  At row t, _fold
+       replaces the aggregate by (0, L, c, ...) if d != 0 or L < l, leaves
+       it as it is if d == 0 and L > l (and so at every row of the block),
+       and adds c if d == 0 and L == l.  Unless it was left, the aggregate
+       is then (0, L, ...), so every further row ties and adds c.  So at
+       row ki the count is base + c * (t - ki + 1), with base 0 after a
+       replacement and n on a tie, and the through counts change only at
+       a queried row, by tau.
+
+    So each block adds, per query, a few arithmetic ranges of count keys,
+    base + c, ..., base + c * x, split at its queried rows, each with one
+    value, through * width.  They go into a difference map per query and
+    stride c, expanded into the count -> sum map once at the end, so a
+    column costs a constant per block and query, not one fold per start.
+    Each start of a zero-duration run is a column of its own, so folding
+    start by start would cost the square of the run's length; by blocks
+    the cost is linear in it.  The sums per count are the same integers
+    either way, so each estimate is the same Fraction."""
     k_lo = table.k_lo
-    first = min(kt for kt, _ in tv_idx)
-    last = max(kt for kt, _ in tv_idx)
+    queried = {kt for kt, _ in tv_idx}
+    kts = sorted(queried)
+    first, last = kts[0], kts[-1]
+    none = (0,) * len(tv_idx)
     pairs = {}
 
     def pair(ks):
@@ -407,7 +458,14 @@ def _grid_contributions(table, u, w, arrivals, tv_idx):
                                            tv_idx)
         return got
 
+    def triple(ks):  # pair(ks), by fact 1 for a zero-duration start
+        if arrivals[ks] != ks or ks in queried:
+            return pair(ks)
+        length, count, _ = pair(table.runs[table.run(ks)][0])
+        return length, count, none
+
     sums = [{} for _ in tv_idx]  # per query: count -> sum of through * cells
+    ranges = {}  # (query, stride): count -> difference of that sum
 
     def add_cells(agg, cells):
         _, _, count, through = agg
@@ -415,37 +473,80 @@ def _grid_contributions(table, u, w, arrivals, tv_idx):
             if thr:
                 sums[n][count] = sums[n].get(count, 0) + thr * cells
 
-    # Cell (ki, kj) aggregates the usable starts ks in [ki, kj], those with
-    # arrivals[ks] <= kj: the fastest ones, then the shortest among those.
-    # Walking ki down from kj, the aggregate changes only at usable starts,
-    # so each aggregate is added once for the run of cells it covers.  The
-    # usable starts, and so the whole column kj, change only where kj is an
-    # arrival index: each distinct column is walked once, and its sums are
-    # counted for every kj up to the next arrival index.
+    def add_range(lo, hi, step, through, width):
+        if lo <= hi:  # the counts lo, lo + step, ..., hi
+            for n, thr in enumerate(through):
+                if thr:
+                    diff = ranges.setdefault((n, step), {})
+                    diff[lo] = diff.get(lo, 0) + thr * width
+                    diff[hi + step] = diff.get(hi + step, 0) - thr * width
+
+    def add_block(agg, top, a, t, width):
+        """agg and top after the rows [a, t] of one block, by fact 3; rows
+        t + 1 to top hold agg."""
+        dur, length, count, through = agg
+        L, c, _ = pair(a)
+        if dur == 0 and L > length:
+            return agg, top
+        add_cells(agg, (top - t) * width)
+        if dur != 0 or L < length:
+            count, through = 0, none
+        row = t
+        for kt in reversed(kts[bisect_left(kts, a):bisect_right(kts, t)]):
+            # rows kt + 1 to row, then tau from row kt down
+            add_range(count + c, count + c * (row - kt), c, through, width)
+            count += c * (row - kt)
+            row = kt
+            through = tuple(map(add, through, pair(kt)[2]))
+        add_range(count + c, count + c * (row - a + 1), c, through, width)
+        return (0, L, count + c * (row - a + 1), through), a - 1
+
     by_arrival = {}
     for ks, ka in arrivals.items():
         by_arrival.setdefault(ka, []).append(ks)
     columns = sorted(by_arrival) + [table.k_hi + 1]
-    usable = []  # the usable starts at or before the last kt
-    late = (None, None, 0, (0,) * len(tv_idx))  # those after it, folded
+    zero_firsts = {a for a, _, _ in table.runs if arrivals.get(a) == a}
+    usable = []  # the positive starts at or before the last kt
+    blocks = []  # the zero-duration ones, as [a, t] per run, in order
+    late = (None, None, 0, none)  # the starts after the last kt, folded
     for kj, next_kj in zip(columns, columns[1:]):
         for ks in by_arrival[kj]:
-            if ks <= last:
+            if ks > last:
+                late = _fold(late, ks, kj, triple)
+            elif ks != kj:
                 insort(usable, ks)
+            elif ks in zero_firsts:
+                blocks.append([ks, ks])
             else:
-                late = _fold(late, ks, kj, pair)
+                blocks[-1][1] = ks
         if kj < first:
             continue
         width = next_kj - kj
         agg, top = late, last + 1  # its cells add 0 whatever its top
-        for ki in reversed(usable):
-            new = _fold(agg, ki, arrivals[ki], pair)
-            if new is not agg:
-                add_cells(agg, (top - ki) * width)
-                agg, top = new, ki
+        if late[0] != 0:  # fact 2: else no positive start changes it
+            floor = blocks[-1][1] if blocks else k_lo - 1
+            for ki in reversed(usable[bisect_right(usable, floor):]):
+                new = _fold(agg, ki, arrivals[ki], triple)
+                if new is not agg:
+                    add_cells(agg, (top - ki) * width)
+                    agg, top = new, ki
+        for a, t in reversed(blocks):  # fact 2: no positive start below
+            if t < first and agg[3] == none:
+                break  # no queried row below, so every cell adds 0
+            agg, top = add_block(agg, top, a, t, width)
         add_cells(agg, (top - k_lo + 1) * width)
-    return [sum((Fraction(v, c) for c, v in acc.items()), Fraction(0))
-            for acc in sums]
+    for (n, step), diff in ranges.items():
+        acc, at, out = {}, {}, sums[n]
+        for k in sorted(diff):
+            r = k % step
+            value = acc.get(r, 0)
+            if value:
+                for count in range(at[r], k, step):
+                    out[count] = out.get(count, 0) + value
+            acc[r], at[r] = value + diff[k], k
+    dens = [lcm(*acc) for acc in sums]  # one Fraction per sum, not per term
+    return [Fraction(sum(v * (den // c) for c, v in acc.items()), den)
+            for acc, den in zip(sums, dens)]
 
 
 def _reach_scans(table, u):

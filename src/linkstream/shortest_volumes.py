@@ -134,19 +134,19 @@ class SweepTables:
     def state_at(self, j):
         """(dist, vol) maps at time j >= source time."""
         times = self.times
-        slot = self.stream.slot(j)
+        n, on = self.stream._place(j)
         # k counts the event times on the table up to j
-        k = (slot + 1) // 2 - self.first
+        k = n - self.first
         if k <= 0 and j < times[0]:
             raise StreamError("query time %s before source time %s"
                               % (j, self.source[0]))
-        if times[k] == j:
+        if on or times[k] == j:
             return self._state(k)
         state = self._extensions.get(j)
         if state is None:
             # every event time after the source is on the table, so j lies
-            # in a gap, which is also the graph at j
-            state = _advance(self.stream, slot, slot, j - times[k],
+            # in a gap, slot 2n, which is also the graph at j
+            state = _advance(self.stream, 2 * n, 2 * n, j - times[k],
                              *self._state(k))
             self._extensions[j] = state
         return state

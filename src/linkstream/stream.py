@@ -8,11 +8,12 @@ The event times cut the window into slots, on each of which the graph is
 constant: with n event times, slot 2i+1 is event time i, slot 2i is the open
 gap before it, and slot 2n is the gap after the last one (with none, slot 0
 covers the window).  Times are placed only here, on int ticks, by
-`LinkStream.slot` and `LinkStream.gap`; other modules read graphs and
-tables by slot, and a walk over the event times reads slot 2i+1 at i.
+`LinkStream._place`, behind `slot` and `gap`; other modules read graphs and
+tables by slot (a sweep reads `_place` itself, for the count of event times
+up to a read), and a walk over the event times reads slot 2i+1 at i.
 """
 
-from bisect import bisect_left
+from bisect import bisect_right
 from math import gcd, lcm
 from typing import NamedTuple
 
@@ -199,15 +200,24 @@ class LinkStream:
             raise TypeError("cannot convert %r to an exact rational" % (t,))
         return lo, lo + (rem != 0)
 
+    def _place(self, t):
+        """(n, on): the number n of event times at or before t, and whether
+        t is one of them.  t is placed among the int event ticks by the
+        floor of t * L and its remainder, so it is compared as ints."""
+        try:
+            lo, rem = divmod(t.numerator * self._scale, t.denominator)
+        except AttributeError:  # a float has no exact place among the ticks
+            raise TypeError("cannot convert %r to an exact rational" % (t,))
+        ev = self._event_ticks
+        n = bisect_right(ev, lo)
+        return n, not rem and n > 0 and ev[n - 1] == lo
+
     def slot(self, t):
         """Index of the slot holding time t: 2i+1 at event time i, 2i on the
         open gap before it.  alpha and omega off the event times lie in the
-        first and the last gap.  t is placed among the int event ticks by
-        the floor and the ceiling of t * L, so it is compared as ints."""
-        lo, hi = self._tick_bounds(t)
-        ev = self._event_ticks
-        i = bisect_left(ev, hi)
-        return 2 * i + 1 if i < len(ev) and ev[i] == lo else 2 * i
+        first and the last gap."""
+        n, on = self._place(t)
+        return 2 * n - on
 
     def gap(self, t, forward):
         """Slot of the open gap just after t (forward) or just before t: the

@@ -2,8 +2,10 @@
 
 A sweep runs `_advance` only up to the latest time read from it, so its
 results must not depend on the order in which times are read.  Every stream
-places a time t by the floor and the ceiling of t * L among the int ticks
-of its event times (`LinkStream._tick_bounds`); on an int stream `betweenness`
+places a time t among the int ticks of its event times by the floor of
+t * L and its remainder (`LinkStream._place`, behind `slot` and the sweep's
+reads), and checks it against the window by the floor and the ceiling
+(`LinkStream._tick_bounds`); on an int stream `betweenness`
 compares those ints with the latency lists, and the same stream with
 `Fraction` times, where the public `contribution` compares t itself, is the
 reference.
@@ -239,6 +241,37 @@ class TestIntTicks:
         stream = quarter_stream(seeded(3300 + seed))
         for t in ticks(stream) + [t + Q(1, 8) for t in ticks(stream)][:-1]:
             assert stream.slot(t) == brute_slot(stream, t)
+
+
+class TestPlacement:
+    """`_place` gives the number of event times at or before t and whether
+    t is one of them; `slot` and `SweepTables.state_at` both read it."""
+
+    @pytest.mark.parametrize("kind", sorted(STREAMS))
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_a_count_of_event_times(self, kind, seed):
+        stream = STREAMS[kind](seeded(3500 + seed))
+        events = stream.event_times()
+        for t in ticks(stream) + [t + Q(1, 8) for t in ticks(stream)][:-1]:
+            n, on = stream._place(t)
+            assert (n, on) == (sum(1 for e in events if e <= t), t in events)
+            assert type(on) is bool
+            assert stream.slot(t) == 2 * n - on == brute_slot(stream, t)
+
+    @pytest.mark.parametrize("kind", sorted(STREAMS))
+    @pytest.mark.parametrize("seed", range(4))
+    def test_reads_before_and_at_the_source(self, kind, seed):
+        """A read before the source time raises; one at it is the source
+        state, also when the source lies off the event times."""
+        stream = STREAMS[kind](seeded(3600 + seed))
+        for x in ticks(stream)[1:]:
+            tables = sweep_tables(fresh(stream), x, stream.nodes[0])
+            for before in (x - Q(1, 10**40), x - Q(1, 8)):
+                if before >= stream.alpha:
+                    with pytest.raises(StreamError, match="before source"):
+                        tables.state_at(before)
+            assert tables.state_at(x) is tables.states[0]
+            assert tables.steps_run == 0 and not tables._extensions
 
 
 class TestPublicChecks:

@@ -8,7 +8,7 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import linkstream.oracle
 from linkstream import (
@@ -551,6 +551,8 @@ class TestRunWalks:
            refine=st.sampled_from([2, 8, 24]),
            parsed=st.booleans(),
            picks=st.tuples(*[st.integers(0, 10**6)] * 4))
+    # 16 run times: the first pick lies after the second unless sorted
+    @example(kind="huge", seed=206, refine=2, parsed=False, picks=(8, 8, 0, 0))
     def test_match_a_search_at_every_index(self, kind, seed, refine, parsed,
                                            picks):
         """The closures, the reach scans expanded to every index, the
@@ -564,8 +566,8 @@ class TestRunWalks:
             stream = parse_stream(stream.serialize())
         grid = GridSpec(Fraction(1, refine * stream.scale()))
         times = run_times(stream, grid)
-        half = len(times) // 2 + 1  # lo in the first half, hi in the last
-        lo, hi = times[picks[0] % half], times[-1 - picks[1] % half]
+        half = len(times) // 2 + 1  # one end in each half, in order
+        lo, hi = sorted((times[picks[0] % half], times[-1 - picks[1] % half]))
         inside = [t for t in times if lo <= t <= hi]
         kts = sorted({grid.index(inside[i % len(inside)]) for i in picks[2:]})
         table = _GridTable(stream, grid, lo, hi)
@@ -986,6 +988,98 @@ class TestPruning:
             assert expand_scans(table, u) == {
                 ks: _reach_scan(table, u, ks)
                 for ks in range(table.k_lo, table.k_hi + 1)}
+
+
+# -- zero-duration blocks ---------------------------------------------------
+#
+# _grid_contributions walks the starts of a run that reach w at once as one
+# block, with one _pair_counts call per run and per query inside it;
+# reference_cells folds every start of every column.
+
+
+def zero_run_stream(rng):
+    """A stream on [0, 12] whose pair (a, b) has long zero-duration runs
+    next to each other, with different (length, count) or different graphs
+    and the same one: a long a-b link (length 1), the relay a-c-b from the
+    instant it ends (length 2), the relay a-d-b over a drawn stretch that
+    may overlap both (count 2 beside a-c-b), and up to three short links."""
+    b1 = rng.randint(0, 3)
+    e1 = rng.randint(b1 + 2, 6)
+    e2 = rng.randint(e1 + 1, 10)
+    d1 = rng.randint(b1, e2)
+    d2 = rng.randint(d1, 12)
+    presence = {("a", "b"): [(b1, e1)], ("a", "c"): [(e1, e2)],
+                ("b", "c"): [(e1, e2)], ("a", "d"): [(d1, d2)],
+                ("b", "d"): [(d1, d2)]}
+    nodes = ["a", "b", "c", "d", "e"]
+    for _ in range(rng.randint(0, 3)):
+        pair = tuple(sorted(rng.sample(nodes, 2)))
+        t = rng.randint(0, 10)
+        presence.setdefault(pair, []).append((t, t + rng.randint(0, 2)))
+    return LinkStream(0, 12, nodes, presence)
+
+
+class TestZeroDurationBlocks:
+    @settings(max_examples=100, deadline=None, derandomize=True,
+              database=None)
+    @given(seed=st.integers(0, 10**6),
+           refine=st.sampled_from([1, 2, 4]),
+           window=st.sampled_from([(0, 12), (0, 8), (2, 12), (3, 9)]),
+           picks=st.lists(st.integers(0, 10**6), min_size=1, max_size=4))
+    def test_blocks_match_every_start_folded(self, seed, refine, window,
+                                             picks):
+        """Every ordered pair's sums, exactly and with their types, for one
+        to four queries placed inside, at the edges of, below and above the
+        runs, against reference_cells."""
+        stream = zero_run_stream(seeded(seed))
+        grid = GridSpec(Fraction(1, refine))
+        table = _GridTable(stream, grid, *window)
+        # inside, at the edges of, just below and just above every run
+        edges = [grid.index(t) for t in run_times(stream, grid)]
+        tv_idx = [(edges[i % len(edges)], stream.nodes[i % 5]) for i in picks]
+        for u in stream.nodes:
+            scans = expand_scans(table, u)
+            for w in stream.nodes:
+                arrivals = {ks: arrival[w] for ks, arrival in scans.items()
+                            if w in arrival}
+                if u == w or not arrivals:
+                    continue
+                assert typed_count(linkstream.oracle._grid_contributions(
+                    table, u, w, arrivals, tv_idx)) == typed_count(
+                    reference_cells(table, u, w, arrivals, tv_idx)), (u, w)
+
+    def test_pair_counts_per_run_not_per_start(self, monkeypatch):
+        """One link over the whole window, 801 grid points in one zero-
+        duration run, queried mid-window: each pair walk asks _pair_counts
+        at most once per run and once per query, not once per start."""
+        stream = LinkStream(0, 100, ["a", "b"], {("a", "b"): [(0, 100)]})
+        tv, grid = TemporalNode(50, "a"), GridSpec(Fraction(1, 8))
+        calls, bounds, walks = [], [], {}
+        pair_counts = linkstream.oracle._pair_counts
+        walk = linkstream.oracle._grid_contributions
+
+        def counted(*args):
+            calls.append(args)
+            return pair_counts(*args)
+
+        def recorded(table, u, w, arrivals, tv_idx):
+            bounds.append(len(table.runs) + len(tv_idx))
+            walks[u, w] = walk(table, u, w, arrivals, tv_idx)
+            return walks[u, w]
+
+        monkeypatch.setattr(linkstream.oracle, "_pair_counts", counted)
+        monkeypatch.setattr(linkstream.oracle, "_grid_contributions",
+                            recorded)
+        got = grid_betweenness(stream, [tv], grid)
+        assert bounds == [2, 2]
+        assert len(calls) <= sum(bounds)
+        monkeypatch.undo()
+        table = _GridTable(stream, grid, 0, 100)
+        arrivals = {ks: ks for ks in range(801)}
+        assert walks["a", "b"] == reference_cells(table, "a", "b", arrivals,
+                                                  [(400, "a")])
+        assert got == [sum(map(sum, walks.values()), Fraction(0))
+                       * grid.step ** 2]
 
 
 class TestEntryPointsAgree:
