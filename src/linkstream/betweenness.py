@@ -76,8 +76,9 @@ def profile(stream, samples_per_node, threads=1):
     also holds every sample time (`LinkStream.lattice(times)`), and each
     value is scaled back by 1/L**2, as in `betweenness`.
 
-    `threads` is accepted for compatibility and ignored: the samples share
-    the stream's tables, and evaluating them serially is the fastest way."""
+    `threads` is accepted and ignored: the samples share the stream's
+    tables, and evaluating them serially is the fastest way.  It stays
+    because the benchmark (`perfbench/run.py`) passes `threads=1`."""
     if samples_per_node < 1:
         raise ValueError("samples_per_node must be >= 1")
     span = stream.omega - stream.alpha

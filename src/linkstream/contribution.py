@@ -152,9 +152,9 @@ def _anchor(stream, u, w, tv, ll, x_max, y_min):
     after = _vsp(stream, t, v, y, w)
     if whole.distance != before.distance + after.distance:
         return None
+    # vol_tv is never zero: x <= x_max and y >= y_min make both factors
+    # reachable, and every node a sweep reaches has a volume of positive size
     vol_tv = vol_mul(before.volume, after.volume)
-    if vol_tv.is_zero():
-        return None
     prev = prev_list(stream, u, w, x, y, ll, whole.distance)
     nxt = next_list(stream, u, w, x, y, ll, whole.distance)
     return LatencyPair(x, y), vol_tv, whole.volume, prev.entries, nxt.entries

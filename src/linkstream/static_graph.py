@@ -1,5 +1,7 @@
 """Classical subroutines on snapshot graphs: BFS distances with shortest-path
-counts, and connected components.  Counts are exact big integers."""
+counts, and the connected components of the linked nodes.  Counts are exact
+big integers.  `LinkStream.bfs` and `LinkStream.components` keep their
+results per graph."""
 
 from collections import deque
 from typing import NamedTuple
@@ -33,22 +35,20 @@ def bfs_counts(graph, source):
 
 
 def connected_components(graph):
-    """Partition of the nodes into maximal connected sets, in deterministic
-    (sorted first-node) order; isolated nodes form singletons."""
-    seen = set()
-    components = []
-    for start in graph.nodes:
-        if start in seen:
+    """The maximal connected sets of two or more nodes, in the order of their
+    first nodes: a search starts only at a node with a link, so a node
+    without one costs nothing and forms no set."""
+    adj = graph.adjacency
+    comps, seen = [], set()
+    for start, nbrs in adj.items():
+        if not nbrs or start in seen:
             continue
-        comp = {start}
-        queue = deque([start])
-        seen.add(start)
-        while queue:
-            w = queue.popleft()
-            for y in graph.neighbors(w):
-                if y not in seen:
-                    seen.add(y)
+        comp, todo = {start}, [start]
+        while todo:
+            for y in adj[todo.pop()]:
+                if y not in comp:
                     comp.add(y)
-                    queue.append(y)
-        components.append(comp)
-    return components
+                    todo.append(y)
+        seen |= comp
+        comps.append(comp)
+    return comps

@@ -7,10 +7,10 @@ bounds; the instantaneous graph only changes there.
 The event times cut the window into slots, on each of which the graph is
 constant: with n event times, slot 2i+1 is event time i, slot 2i is the open
 gap before it, and slot 2n is the gap after the last one (with none, slot 0
-covers the window).  Times are placed only here, on int ticks, by
-`LinkStream._place`, behind `slot` and `gap`; other modules read graphs and
-tables by slot (a sweep reads `_place` itself, for the count of event times
-up to a read), and a walk over the event times reads slot 2i+1 at i.
+covers the window).  One routine turns a time into int ticks,
+`LinkStream._tick_bounds`; the window check and `_place`, behind `slot`,
+`gap` and a sweep's reads, are built on it.  Other modules read graphs and
+tables by slot, and a walk over the event times reads slot 2i+1 at i.
 """
 
 from bisect import bisect_right
@@ -18,7 +18,7 @@ from math import gcd, lcm
 from typing import NamedTuple
 
 from .numbers import Q, as_q, on_lattice, parse_time
-from .static_graph import bfs_counts
+from .static_graph import bfs_counts, connected_components
 
 
 class StreamError(ValueError):
@@ -203,14 +203,12 @@ class LinkStream:
     def _place(self, t):
         """(n, on): the number n of event times at or before t, and whether
         t is one of them.  t is placed among the int event ticks by the
-        floor of t * L and its remainder, so it is compared as ints."""
-        try:
-            lo, rem = divmod(t.numerator * self._scale, t.denominator)
-        except AttributeError:  # a float has no exact place among the ticks
-            raise TypeError("cannot convert %r to an exact rational" % (t,))
+        floor and the ceiling of t * L (`_tick_bounds`), so it is compared
+        as ints."""
+        lo, hi = self._tick_bounds(t)
         ev = self._event_ticks
         n = bisect_right(ev, lo)
-        return n, not rem and n > 0 and ev[n - 1] == lo
+        return n, lo == hi and n > 0 and ev[n - 1] == lo
 
     def slot(self, t):
         """Index of the slot holding time t: 2i+1 at event time i, 2i on the
@@ -257,26 +255,12 @@ class LinkStream:
         return self._snapshots[k]
 
     def components(self, k):
-        """The connected components of two or more nodes in the graph of
-        slot k (cached per graph): a search starts only at a node with a
-        link, so the others cost nothing."""
+        """`connected_components` of the graph of slot k: its components of
+        two or more nodes (cached per graph)."""
         g = self.snapshot(k)
         comps = self._components.get(g)
         if comps is None:
-            adj = g.adjacency
-            comps, seen = [], set()
-            for start, nbrs in adj.items():
-                if not nbrs or start in seen:
-                    continue
-                comp, todo = {start}, [start]
-                while todo:
-                    for y in adj[todo.pop()]:
-                        if y not in comp:
-                            comp.add(y)
-                            todo.append(y)
-                seen |= comp
-                comps.append(comp)
-            self._components[g] = comps
+            comps = self._components[g] = connected_components(g)
         return comps
 
     def bfs(self, k, w):

@@ -1,8 +1,17 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from linkstream import Q, SnapshotGraph, bfs_counts, connected_components
+import linkstream.stream
+from linkstream import (
+    LinkStream,
+    Q,
+    SnapshotGraph,
+    bfs_counts,
+    connected_components,
+)
 
-from conftest import seeded
+from conftest import random_stream, relay_stream, seeded
+from test_shared_state import int_times
 
 
 def graph(nodes, edges):
@@ -61,14 +70,15 @@ class TestBfsCounts:
 
 
 class TestConnectedComponents:
+    """Components of two or more nodes, in the order of their first nodes:
+    a node without a link forms none."""
+
     def test_demo_at_16(self, demo):
         comps = connected_components(demo.graph_at(Q(16)))
-        assert comps == [{"a", "b"}, {"c"}, {"d", "e"}]
+        assert comps == [{"a", "b"}, {"d", "e"}]
 
-    def test_empty_graph_singletons(self):
-        assert connected_components(graph("abc", [])) == [
-            {"a"}, {"b"}, {"c"}
-        ]
+    def test_empty_graph_has_none(self):
+        assert connected_components(graph("abc", [])) == []
 
     def test_complete_graph(self):
         g = graph("abc", [("a", "b"), ("b", "c"), ("a", "c")])
@@ -81,4 +91,66 @@ class TestConnectedComponents:
         for comp in comps:
             assert not (comp & seen)
             seen |= comp
-        assert seen == set("abcde")
+        assert seen == set("abde")
+
+
+def quartered(stream):
+    """The same stream with every time t moved to (t + 1) / 4."""
+    def f(t):
+        return Q(t + 1, 4)
+
+    presence = {pair: [(f(b), f(e)) for b, e in ivs]
+                for pair, ivs in stream.presence.items()}
+    return LinkStream(f(stream.alpha), f(stream.omega), stream.nodes, presence)
+
+
+STREAMS = {"random": random_stream, "relay": relay_stream}
+TIMES = {"int": int_times, "quarter": quartered}
+
+
+class TestStreamComponents:
+    def test_demo_slots(self, demo):
+        assert demo.components(demo.slot(Q(16))) == [{"a", "b"}, {"d", "e"}]
+        assert demo.components(demo.slot(demo.alpha)) == []
+
+    def test_equal_slots_share_one_list(self, demo):
+        slots = range(2 * len(demo.event_times()) + 1)
+        for k in slots:
+            for k2 in slots:
+                same = demo.snapshot(k) is demo.snapshot(k2)
+                assert (demo.components(k) is demo.components(k2)) == same
+
+    def test_one_search_per_graph(self, demo, monkeypatch):
+        searched = []
+
+        def search(graph):
+            searched.append(graph)
+            return connected_components(graph)
+
+        monkeypatch.setattr(linkstream.stream, "connected_components", search)
+        stream = LinkStream(demo.alpha, demo.omega, demo.nodes, demo.presence)
+        slots = range(2 * len(stream.event_times()) + 1)
+        for k in slots:
+            assert stream.components(k) == connected_components(stream.snapshot(k))
+        graphs = {stream.snapshot(k) for k in slots}
+        assert len(searched) == len(graphs) == len(set(searched))
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(kind=st.sampled_from(sorted(STREAMS)),
+           times=st.sampled_from(sorted(TIMES)),
+           seed=st.integers(0, 10**6))
+    def test_components_of_every_slot(self, kind, times, seed):
+        stream = TIMES[times](STREAMS[kind](seeded(seed)))
+        for k in range(2 * len(stream.event_times()) + 1):
+            g = stream.snapshot(k)
+            adj = g.adjacency
+            comps = stream.components(k)
+            # they partition the linked nodes, in the order of first nodes
+            assert sum(map(len, comps)) == len(set().union(*comps))
+            assert set().union(*comps) == {v for v, nbrs in adj.items() if nbrs}
+            firsts = [min(comp) for comp in comps]
+            assert firsts == sorted(firsts)
+            for comp in comps:
+                # no link leaves a component, and each one is connected
+                assert all(y in comp for v in comp for y in adj[v])
+                assert set(bfs_counts(g, min(comp)).dist) == comp

@@ -12,12 +12,14 @@ every earlier one as it was.
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from linkstream import Q
 from linkstream.shortest_volumes import SweepTables, _gap_volume
 from linkstream.volumes import V_ZERO, vol_add, vol_mul
 
 from conftest import seeded
+from test_lattice import huge_stream
 from test_lazy import int_stream, ticks
 from test_shared_state import quarter_stream
 
@@ -139,3 +141,25 @@ class TestStep:
                 seen += [(state, typed(state)) for state in reads]
                 for state, copy in seen:
                     assert typed(state) == copy
+
+
+# huge: times whose denominators are 10**30 + 7 and 10**30 - 1
+VOLUME_STREAMS = {**STREAMS, "huge": huge_stream}
+
+
+class TestReachedVolumes:
+    """`_anchor` relies on this: a node that a sweep reaches has a volume
+    of positive size, so a product of two reached volumes is never zero."""
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(kind=st.sampled_from(sorted(VOLUME_STREAMS)),
+           seed=st.integers(0, 10**6))
+    def test_every_reached_node_has_a_positive_volume(self, kind, seed):
+        stream = VOLUME_STREAMS[kind](seeded(seed))
+        for x, u in sources(stream):
+            tables = SweepTables(stream, x, u)
+            reads = tables.times + [j for _, j in gap_times(tables.times)]
+            for j in reads:
+                dist, vol = tables.state_at(j)
+                assert u in dist
+                assert all(vol[w].size > 0 for w in dist)
