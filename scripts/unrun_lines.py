@@ -1,4 +1,5 @@
-"""List the statements of src/linkstream that the tier-1 tests never run.
+"""List the statements of src/linkstream that the tier-1 tests, or the
+benchmark workloads, never run.
 
 Runs the tier-1 suite in this process under a `sys.settrace` line tracer
 that follows only the frames of src/linkstream, then prints each statement
@@ -12,12 +13,23 @@ as unrun.  pytest's own report goes to stderr, so stdout holds the list:
 
 Exits with pytest's exit code.  Traced, the suite took 98-115 s against 25 s
 untraced on 2 CPUs under Python 3.11.
+
+With `--workloads`, the same tracer follows one pass over each pool of
+perfbench/workloads.py instead of the suite, with the operations that
+perfbench/run.py times: each entry's stream is parsed, a profile entry runs
+`profile(stream, samples, threads=1)`, and a session runs its cold and warm
+`betweenness` queries on that stream, then its `--verify` query through the
+CLI.  The pools are only read; nothing under perfbench/ is written.  Exits
+with 1 if a CLI call ended with a code other than 0 or 1 (a `--verify`
+verdict), else 0.  Traced, the pass took 3 s on 2 CPUs under Python 3.11.
 """
 
 import ast
 import contextlib
+import io
 import os
 import sys
+import tempfile
 from operator import itemgetter
 from pathlib import Path
 
@@ -48,6 +60,35 @@ def statements(path):
     return sorted(out, key=itemgetter(0))
 
 
+def run_workloads():
+    """One pass over each benchmark pool; 1 if a CLI call failed, else 0."""
+    sys.dont_write_bytecode = True  # no __pycache__ under perfbench/
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    import workloads
+    import linkstream
+    from linkstream import cli
+
+    failed = False
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "stream.ls"
+        for name in workloads.WORKLOADS:
+            for entry in workloads.pool(name):
+                stream = linkstream.parse_stream(entry.text)
+                if isinstance(entry, workloads.Profile):
+                    linkstream.profile(stream, entry.samples, threads=1)
+                    continue
+                for t, v in (entry.cold, *entry.warm):
+                    linkstream.betweenness(stream, linkstream.TemporalNode(
+                        linkstream.parse_time(t), v))
+                path.write_text(entry.text)
+                argv = [entry.verify[0], "--stream", str(path),
+                        *entry.verify[1:]]
+                with contextlib.redirect_stdout(io.StringIO()), \
+                        contextlib.redirect_stderr(io.StringIO()):
+                    failed |= cli.run(argv) not in (0, 1)
+    return int(failed)
+
+
 def main(argv):
     prefix = str(SRC) + os.sep
     ran = set()
@@ -65,13 +106,16 @@ def main(argv):
     assert "linkstream" not in sys.modules  # its import must be traced too
     os.chdir(ROOT)
     sys.path.insert(0, str(ROOT / "src"))
-    import pytest
-
     with contextlib.redirect_stdout(sys.stderr):
         sys.settrace(call)
         try:
-            code = pytest.main(["-q", "--continue-on-collection-errors",
-                                "-p", "no:cacheprovider", *argv])
+            if argv[:1] == ["--workloads"]:
+                code = run_workloads()
+            else:
+                import pytest
+
+                code = pytest.main(["-q", "--continue-on-collection-errors",
+                                    "-p", "no:cacheprovider", *argv])
         finally:
             sys.settrace(None)
     unrun = 0

@@ -149,14 +149,14 @@ def latency(stream, src, dst_node, arrive_by=None):
     path in the snapshot at src.time gives 0 directly (it covers the
     continuum of instantaneous pairs inside the gap holding src.time).
     """
-    stream.check_temporal_node(src)
-    stream.check_nodes(dst_node)
     x, u = src
+    k = stream.slot(x)
+    stream.check_nodes(u, dst_node)
     y = stream.omega if arrive_by is None else arrive_by
-    stream._check_time(y)
+    stream._place(y)
     if y < x:
         return None
-    if dst_node in stream.bfs(stream.slot(x), u).dist:
+    if dst_node in stream.bfs(k, u).dist:
         return Q(0)
     # starts and arrivals both increase, so the usable pairs form one range
     ll = _lists(stream, (u,))[u][dst_node]

@@ -212,16 +212,21 @@ class _GridTable:
         return {x: (lx, total[x]) for x, (lx, _) in out.items()}
 
 
-def _closure(v, runs):
-    """The nodes joined to v over the runs, crossed in that order, with one
-    reach set per run (a reach set is closed under its snapshot, so a
-    second search in the same run adds nothing): for runs in increasing
-    order, those that v reaches; in decreasing order (the snapshots are
-    undirected), those that reach v."""
-    seen = {v}
-    for _, _, g in runs:
-        seen = _reach_set(g, seen)
-    return seen
+def _spread(seen, at, runs):
+    """The nodes joined to those of `seen` over the runs, crossed in that
+    order (one reach set per run: it is closed under the run's snapshot),
+    until every node is joined.  In increasing order, from index `at` of
+    the first run on, those that `seen` reaches, each mapped to `at` if the
+    first run reaches it, else to the first index of the run that does; in
+    decreasing order (the snapshots are undirected), those that reach
+    `seen`."""
+    reached = dict.fromkeys(seen, at)
+    for first, _, g in runs:
+        if len(reached) == len(g.nodes):
+            break
+        for y in _reach_set(g, reached):
+            reached.setdefault(y, max(first, at))
+    return reached
 
 
 def _through(table, kt, v):
@@ -232,8 +237,8 @@ def _through(table, kt, v):
     if not table.k_lo <= kt <= table.k_hi:
         return set(), set()
     r = table.run(kt)
-    return (_closure(v, reversed(table.runs[:r + 1])),
-            _closure(v, table.runs[r:]))
+    return (_spread([v], kt, reversed(table.runs[:r + 1])).keys(),
+            _spread([v], kt, table.runs[r:]).keys())
 
 
 def _reach_scan(table, u, ks):
@@ -242,17 +247,9 @@ def _reach_scan(table, u, ks):
     when u has no link at ks.  After the reach set of u at ks, the set grows
     only over the runs after the one of ks, each at its first index."""
     r = table.run(ks)
-    g = table.runs[r][2]
-    if not g.neighbors(u):
+    if not table.runs[r][2].neighbors(u):
         return {}
-    arrival = dict.fromkeys(_reach_set(g, [u]), ks)
-    n = len(g.nodes)
-    for first, _, g in table.runs[r + 1:]:
-        if len(arrival) == n:
-            break
-        for y in _reach_set(g, arrival):
-            arrival.setdefault(y, first)
-    return arrival
+    return _spread([u], ks, table.runs[r:])
 
 
 # -- shortest paths -----------------------------------------------------------

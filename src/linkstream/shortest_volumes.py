@@ -132,7 +132,7 @@ class SweepTables:
         return states[k]
 
     def state_at(self, j):
-        """(dist, vol) maps at time j >= source time."""
+        """(dist, vol) maps at time j, source time <= j <= omega."""
         times = self.times
         n, on = self.stream._place(j)
         # k counts the event times on the table up to j

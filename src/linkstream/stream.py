@@ -8,8 +8,9 @@ The event times cut the window into slots, on each of which the graph is
 constant: with n event times, slot 2i+1 is event time i, slot 2i is the open
 gap before it, and slot 2n is the gap after the last one (with none, slot 0
 covers the window).  One routine turns a time into int ticks,
-`LinkStream._tick_bounds`; the window check and `_place`, behind `slot`,
-`gap` and a sweep's reads, are built on it.  Other modules read graphs and
+`LinkStream._tick_bounds`, and one places it, `_place`, which rejects a
+time outside the window; `slot`, `gap`, `graph_at`, the temporal-node
+check and a sweep's reads all go through it.  Other modules read graphs and
 tables by slot, and a walk over the event times reads slot 2i+1 at i.
 """
 
@@ -179,15 +180,8 @@ class LinkStream:
     def event_times(self):
         return list(self._event_times)
 
-    def _check_time(self, t):
-        lo, hi = self._tick_bounds(t)
-        alpha, omega = self._end_ticks
-        if lo < alpha or hi > omega:
-            raise StreamError("time %s outside [%s, %s]" % (t, self.alpha, self.omega))
-
     def graph_at(self, t):
         """The instantaneous graph G_t."""
-        self._check_time(t)
         return self.snapshot(self.slot(t))
 
     def _tick_bounds(self, t):
@@ -202,10 +196,13 @@ class LinkStream:
 
     def _place(self, t):
         """(n, on): the number n of event times at or before t, and whether
-        t is one of them.  t is placed among the int event ticks by the
-        floor and the ceiling of t * L (`_tick_bounds`), so it is compared
-        as ints."""
+        t is one of them; StreamError if t lies outside [alpha, omega].  t is
+        placed among the int window and event ticks by the floor and the
+        ceiling of t * L (`_tick_bounds`), so it is compared as ints."""
         lo, hi = self._tick_bounds(t)
+        alpha, omega = self._end_ticks
+        if lo < alpha or hi > omega:
+            raise StreamError("time %s outside [%s, %s]" % (t, self.alpha, self.omega))
         ev = self._event_ticks
         n = bisect_right(ev, lo)
         return n, lo == hi and n > 0 and ev[n - 1] == lo
@@ -278,7 +275,7 @@ class LinkStream:
                 raise StreamError("unknown node %r" % v)
 
     def check_temporal_node(self, tn):
-        self._check_time(tn.time)
+        self._place(tn.time)
         self.check_nodes(tn.node)
 
     # -- integer time lattice ----------------------------------------------

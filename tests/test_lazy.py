@@ -2,10 +2,10 @@
 
 A sweep runs `_advance` only up to the latest time read from it, so its
 results must not depend on the order in which times are read.  Every stream
-places a time t among the int ticks of its event times by the floor of
-t * L and its remainder (`LinkStream._place`, behind `slot` and the sweep's
-reads), and checks it against the window by the floor and the ceiling
-(`LinkStream._tick_bounds`); on an int stream `betweenness`
+places a time t among the int ticks of its event times, and checks it
+against the window, by the floor and the ceiling of t * L
+(`LinkStream._tick_bounds`, read by `_place`, behind `slot` and the sweep's
+reads); on an int stream `betweenness`
 compares those ints with the latency lists, and the same stream with
 `Fraction` times, where the public `contribution` compares t itself, is the
 reference.
@@ -27,9 +27,10 @@ from linkstream import (
     latency_lists,
     vsp,
 )
-from linkstream.shortest_volumes import sweep_tables
+from linkstream.shortest_volumes import SweepTables, sweep_tables
 
 from conftest import random_stream, seeded
+from test_lattice import huge_stream
 from test_shared_state import int_times, quarter_stream
 
 
@@ -49,15 +50,27 @@ def fresh(stream):
     return LinkStream(stream.alpha, stream.omega, stream.nodes, stream.presence)
 
 
-def ticks(stream):
-    """Window ends, event times, and the halves and thirds of every gap
-    between them; times just inside both window ends."""
+def probes(stream, later=0):
+    """Window ends, event times, the halves and thirds of every gap between
+    them, and the times 1/1000 inside both window ends, each moved `later`:
+    on a window narrower than 1/1000, or moved past omega, some of them lie
+    outside the window."""
     bounds = sorted({stream.alpha, stream.omega, *stream.event_times()})
     inner = []
     for b, b2 in zip(bounds, bounds[1:]):
         inner += [b + Q(b2 - b, 2), b + Q(b2 - b, 3), b2 - Q(b2 - b, 3)]
     edges = [stream.alpha + Q(1, 1000), stream.omega - Q(1, 1000)]
-    return sorted(set(bounds + inner + edges))
+    return sorted({t + later for t in bounds + inner + edges})
+
+
+def ticks(stream, later=0):
+    """The `probes` inside the window."""
+    return [t for t in probes(stream, later) if stream.alpha <= t <= stream.omega]
+
+
+def outside(stream, later=0):
+    """The `probes` outside the window."""
+    return [t for t in probes(stream, later) if not stream.alpha <= t <= stream.omega]
 
 
 def off_lattice(stream):
@@ -239,7 +252,7 @@ class TestIntTicks:
     def test_control_on_a_quarter_stream(self, seed):
         """On non-int event times t is placed by the ticks of t * 4."""
         stream = quarter_stream(seeded(3300 + seed))
-        for t in ticks(stream) + [t + Q(1, 8) for t in ticks(stream)][:-1]:
+        for t in ticks(stream) + ticks(stream, Q(1, 8)):
             assert stream.slot(t) == brute_slot(stream, t)
 
 
@@ -252,11 +265,26 @@ class TestPlacement:
     def test_matches_a_count_of_event_times(self, kind, seed):
         stream = STREAMS[kind](seeded(3500 + seed))
         events = stream.event_times()
-        for t in ticks(stream) + [t + Q(1, 8) for t in ticks(stream)][:-1]:
+        for t in ticks(stream) + ticks(stream, Q(1, 8)):
             n, on = stream._place(t)
             assert (n, on) == (sum(1 for e in events if e <= t), t in events)
             assert type(on) is bool
             assert stream.slot(t) == 2 * n - on == brute_slot(stream, t)
+
+    @pytest.mark.parametrize("kind", sorted(STREAMS) + ["huge"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_rejects_the_probes_outside_the_window(self, kind, seed):
+        """The probes that lie outside the window: 1/8 after those within
+        1/8 of omega and, on the narrow window of a huge stream, the times
+        1/1000 from its ends too.  Each is rejected, also as a source."""
+        stream = {**STREAMS, "huge": huge_stream}[kind](seeded(3500 + seed))
+        times = outside(stream) + outside(stream, Q(1, 8))
+        assert times
+        for t in times:
+            for place in (stream._place, stream.slot,
+                          lambda t: SweepTables(stream, t, stream.nodes[0])):
+                with pytest.raises(StreamError, match="outside"):
+                    place(t)
 
     @pytest.mark.parametrize("kind", sorted(STREAMS))
     @pytest.mark.parametrize("seed", range(4))

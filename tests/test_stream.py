@@ -12,10 +12,13 @@ from linkstream import (
     TemporalNode,
     betweenness,
     format_decimal,
+    latency,
     parse_stream,
     parse_time,
+    vsp,
 )
 from linkstream.numbers import on_lattice
+from linkstream.shortest_volumes import SweepTables, sweep_tables
 
 from conftest import DEMO_TEXT, random_stream, seeded
 from test_lattice import huge_stream, integer_stream, quarters_stream
@@ -459,6 +462,50 @@ class TestWindowOnTicks:
                             check(t)
                     else:
                         check(t)
+
+    @settings(max_examples=100, deadline=None, derandomize=True,
+              database=None)
+    @given(kind=st.sampled_from(sorted(SLOT_STREAMS)),
+           seed=st.integers(0, 10**6), parsed=st.booleans())
+    def test_every_entry_point_rejects_a_time_outside(self, kind, seed,
+                                                       parsed):
+        """Half a tick, and 1/10**40, outside either window end: every
+        routine that takes a time rejects it."""
+        stream = SLOT_STREAMS[kind](seeded(seed))
+        if parsed:
+            stream = parse_stream(stream.serialize())
+        u, v = stream.nodes[0], stream.nodes[-1]
+        first = TemporalNode(stream.alpha, u)
+        last = TemporalNode(stream.omega, v)
+        tables = sweep_tables(stream, *first)
+        for eps in (Q(1, 2 * stream.scale()), Q(1, 10**40)):
+            for t in (stream.alpha - eps, stream.omega + eps):
+                tv = TemporalNode(t, u)
+                for call, *args in (
+                        (stream.slot, t), (stream.gap, t, True),
+                        (stream.gap, t, False), (stream.graph_at, t),
+                        (stream.check_temporal_node, tv),
+                        (SweepTables, stream, t, u), (tables.state_at, t),
+                        (latency, stream, tv, v),
+                        (latency, stream, first, v, t),
+                        (vsp, stream, first, TemporalNode(t, v)),
+                        (vsp, stream, tv, last), (betweenness, stream, tv)):
+                    with pytest.raises(StreamError, match="outside"):
+                        call(*args)
+
+    def test_graph_at_ticks_once(self, demo, monkeypatch):
+        calls = []
+        tick_bounds = LinkStream._tick_bounds
+
+        def counted(stream, t):
+            calls.append(t)
+            return tick_bounds(stream, t)
+
+        monkeypatch.setattr(LinkStream, "_tick_bounds", counted)
+        for t in (Q(0), Q(16), Q(33, 2), Q(32)):
+            calls.clear()
+            demo.graph_at(t)
+            assert calls == [t]
 
 
 class TestGap:
