@@ -25,7 +25,9 @@ def betweenness(stream, tv):
     The sum runs on the stream's integer-time twin (`LinkStream.lattice`),
     with times in ticks of 1/L; betweenness scales with the square of time,
     so the twin's total is divided by L**2.  The twin's own L is 1: the
-    floor and the ceiling of the query tick place it, comparing ints only."""
+    floor and the ceiling of the query tick place it, comparing ints only.
+    The pair values are ints or Fractions, and so is their sum until it is
+    divided."""
     stream.check_temporal_node(tv)
     twin, scale = stream.lattice()
     tv = TemporalNode(on_lattice(tv.time, scale), tv.node)
@@ -33,17 +35,18 @@ def betweenness(stream, tv):
     t_lo, t_hi = twin._tick_bounds(tv.time)
     y_mins = {w: y for w, y in ((w, _y_min(table[tv.node][w], t_hi))
                                 for w in twin.nodes) if y is not None}
-    total = Q(0)
+    frames = twin._frames  # the lists are the twin's own
+    total = 0
     for u in twin.nodes:
         x_max = _x_max(table[u][tv.node], t_lo)
         if x_max is None:
             continue
         lists = table[u]
         for w, y_min in y_mins.items():
-            value = _value(_anchor(twin, u, w, tv, lists[w], x_max, y_min)).value
-            if value:  # most pairs give 0: skip their Fraction additions
+            value = _value(_anchor(twin, u, w, tv, lists[w], x_max, y_min, frames))
+            if value:  # most pairs give 0: skip their additions
                 total += value
-    return total / (scale * scale)
+    return Q(total, scale * scale)
 
 
 def profile(stream, samples_per_node, threads=1):
@@ -73,34 +76,35 @@ def profile(stream, samples_per_node, threads=1):
     and a gap's run is extended by forward differences (`_gap_values`).
 
     The evaluations run on an integer-time twin of the stream whose lattice
-    also holds every sample time (`LinkStream.lattice(times)`), and each
-    value is scaled back by 1/L**2, as in `betweenness`.
+    also holds every sample time (`LinkStream.lattice`, given the sample
+    spacing), so the sample ticks are ints, alpha's tick plus i spacings,
+    and each sample time is one Fraction of its tick over L.  Each direct
+    evaluation is scaled back by 1/L**2, as in `betweenness`, before the
+    forward differences extend it: they are linear, so the extended values
+    are the scaled ones.
 
     `threads` is accepted and ignored: the samples share the stream's
     tables, and evaluating them serially is the fastest way.  It stays
     because the benchmark (`perfbench/run.py`) passes `threads=1`."""
     if samples_per_node < 1:
         raise ValueError("samples_per_node must be >= 1")
-    span = stream.omega - stream.alpha
-    times = [
-        stream.alpha + Q(i) * span / samples_per_node
-        for i in range(samples_per_node + 1)
-    ]
-    twin, scale = stream.lattice(times)
-    ticks = [on_lattice(t, scale) for t in times]
+    spacing = Q(stream.omega - stream.alpha, samples_per_node)
+    twin, scale = stream.lattice([spacing])
+    step = spacing.numerator * (scale // spacing.denominator)
+    ticks = [twin.alpha + i * step for i in range(samples_per_node + 1)]
+    times = [Q(tick, scale) for tick in ticks]
     runs = [(k, list(run)) for k, run in groupby(ticks, twin.slot)]
     norm = scale * scale
     samples = []
     for v in twin.nodes:
-        values = chain.from_iterable(_gap_values(twin, k, v, run)
+        values = chain.from_iterable(_gap_values(twin, k, v, run, norm)
                                      for k, run in runs)
-        samples.extend((TemporalNode(t, v), value / norm)
-                       for t, value in zip(times, values))
+        samples.extend(zip((TemporalNode(t, v) for t in times), values))
     return BetweennessProfile(samples)
 
 
-def _direct(stream, v, ts):
-    return [betweenness(stream, TemporalNode(t, v)) for t in ts]
+def _direct(stream, v, ts, norm):
+    return [betweenness(stream, TemporalNode(t, v)) / norm for t in ts]
 
 
 def _degree_bound(stream, k, v):
@@ -109,9 +113,10 @@ def _degree_bound(stream, k, v):
     return 2 * max(stream.bfs(k, v).dist.values())
 
 
-def _gap_values(stream, k, v, ts):
-    """Exact betweenness of (t, v) for the ascending, equally spaced times
-    ts of slot k (equal times included, as in a single-instant window).
+def _gap_values(stream, k, v, ts, norm):
+    """Exact betweenness of (t, v), divided by norm, for the ascending,
+    equally spaced times ts of slot k (equal times included, as in a
+    single-instant window).
 
     With D the degree bound, a run of at most D + 2 times is evaluated
     directly.  A longer one is evaluated at its first D + 1 times, and
@@ -122,8 +127,8 @@ def _gap_values(stream, k, v, ts):
     time of the run is evaluated directly."""
     degree = _degree_bound(stream, k, v)
     if len(ts) <= degree + 2:
-        return _direct(stream, v, ts)
-    values = _direct(stream, v, ts[:degree + 1])
+        return _direct(stream, v, ts, norm)
+    values = _direct(stream, v, ts[:degree + 1], norm)
     diffs, row = [], values  # diffs[j]: j-th difference at the last value
     while row:
         diffs.append(row[-1])
@@ -132,6 +137,6 @@ def _gap_values(stream, k, v, ts):
         for j in range(degree - 1, -1, -1):
             diffs[j] += diffs[j + 1]
         values.append(diffs[0])
-    if values[-1] != betweenness(stream, TemporalNode(ts[-1], v)):
-        return _direct(stream, v, ts)
+    if values[-1] != betweenness(stream, TemporalNode(ts[-1], v)) / norm:
+        return _direct(stream, v, ts, norm)
     return values

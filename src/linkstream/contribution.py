@@ -17,10 +17,10 @@ from bisect import bisect_left, bisect_right
 from typing import NamedTuple, Optional
 
 from .latencies import LatencyPair, _lists
-from .numbers import Q
+from .numbers import Q, exact_div
 from .shortest_volumes import _vsp, vsp
 from .stream import StreamError, TemporalNode
-from .volumes import V_ZERO, vol_add, vol_div, vol_mul
+from .volumes import V_ZERO, _check_subset, vol_add, vol_div, vol_mul
 
 
 class BoundaryList(NamedTuple):
@@ -30,9 +30,6 @@ class BoundaryList(NamedTuple):
 class ContributionResult(NamedTuple):
     value: object  # exact rational >= 0
     anchor: Optional[LatencyPair]
-
-
-_NO_CONTRIBUTION = ContributionResult(Q(0), None)
 
 
 def _gap_dist(stream, t, u, w, forward):
@@ -116,18 +113,19 @@ def _y_min(from_v, t_hi):
 
 
 def _anchored(stream, u, w, tv, ll):
-    """`_anchor`, its reach bounds read from the filled lists u->v, v->w."""
+    """`_anchor`, its reach bounds read from the filled lists u->v, v->w;
+    the stream's frames serve only the stream's own list."""
     x_max = _x_max(stream._latency_lists[u][tv.node], tv.time)
     y_min = _y_min(stream._latency_lists[tv.node][w], tv.time)
     if x_max is None or y_min is None:
         return None
-    return _anchor(stream, u, w, tv, ll, x_max, y_min)
+    frames = stream._frames if ll is stream._latency_lists[u][w] else {}
+    return _anchor(stream, u, w, tv, ll, x_max, y_min, frames)
 
 
-def _anchor(stream, u, w, tv, ll, x_max, y_min):
-    """(anchor, vol_tv, middle, prev entries, next entries): the anchor
-    latency pair, the volume of its shortest fastest paths through tv, the
-    volume of all of them, and its boundary lists; None when no shortest
+def _anchor(stream, u, w, tv, ll, x_max, y_min, frames):
+    """(frame, vol_tv): the `_frame` of the anchor latency pair and the
+    volume of its shortest fastest paths through tv; None when no shortest
     fastest path from u to w involves tv.
 
     The anchor is the first pair (x, y) of `ll` such that (x,u) reaches tv
@@ -141,7 +139,12 @@ def _anchor(stream, u, w, tv, ll, x_max, y_min):
     every event time).  x_max <= t <= y_min, and the pairs meeting both
     bounds form one range, so the anchor is its first pair.  x_max and
     y_min place t among the event times, so every comparison is on event
-    times."""
+    times.
+
+    Of the contribution, only vol_tv depends on t.  The frame is read from
+    `frames` by (u, w, anchor index), or built and kept there, only once
+    the distance test passes; `frames` is the stream's `_frames` for the
+    stream's own list, and a throwaway dict for a caller's own list."""
     k = bisect_left(ll.arrivals, y_min)
     if k >= bisect_right(ll.starts, x_max):
         return None
@@ -152,12 +155,39 @@ def _anchor(stream, u, w, tv, ll, x_max, y_min):
     after = _vsp(stream, t, v, y, w)
     if whole.distance != before.distance + after.distance:
         return None
+    frame = frames.get((u, w, k))
+    if frame is None:
+        frame = frames[u, w, k] = _frame(stream, u, w, x, y, ll, whole)
     # vol_tv is never zero: x <= x_max and y >= y_min make both factors
     # reachable, and every node a sweep reaches has a volume of positive size
-    vol_tv = vol_mul(before.volume, after.volume)
-    prev = prev_list(stream, u, w, x, y, ll, whole.distance)
-    nxt = next_list(stream, u, w, x, y, ll, whole.distance)
-    return LatencyPair(x, y), vol_tv, whole.volume, prev.entries, nxt.entries
+    return frame, vol_mul(before.volume, after.volume)
+
+
+def _frame(stream, u, w, x, y, ll, whole):
+    """All of a contribution but vol_tv, for the anchor (x, y) of `ll`,
+    whose vsp is `whole`: (anchor, middle, prev, next, smallest, weight),
+    with middle the volume of `whole` and prev, next the boundary entries.
+    Of the cells' denominators, middle + left + right, `smallest` has the
+    smallest dimension d and the smallest size among those of dimension d
+    (None when the lists have no cell); `weight` sums cell area /
+    denominator size over the cells of dimension d, an int or a Fraction."""
+    prev = prev_list(stream, u, w, x, y, ll, whole.distance).entries
+    nxt = next_list(stream, u, w, x, y, ll, whole.distance).entries
+    middle = whole.volume
+    smallest, weight = None, 0
+    s_hi = x
+    for s_left, left in prev:
+        a_lo = y
+        for a_right, right in nxt:
+            den = vol_add(vol_add(left, right), middle)
+            if smallest is None or den.dim < smallest.dim:
+                smallest, weight = den, 0
+            if den.dim == smallest.dim:
+                smallest = min(smallest, den)  # (size, dim): by size here
+                weight += exact_div((s_hi - s_left) * (a_right - a_lo), den.size)
+            a_lo = a_right
+        s_hi = s_left
+    return LatencyPair(x, y), middle, prev, nxt, smallest, weight
 
 
 def _cell(entries, start, x, forward):
@@ -186,7 +216,7 @@ def cell_ratio(stream, u, w, tv, ll, i, j):
     found = _anchored(stream, u, w, tv, ll)
     if found is None:
         return Q(0)
-    (s, a), vol_tv, middle, prev, nxt = found
+    ((s, a), middle, prev, nxt, _, _), vol_tv = found
     left = _cell(prev, s, i, False)
     right = _cell(nxt, a, j, True)
     if left is None or right is None:
@@ -200,24 +230,22 @@ def contribution(stream, u, w, tv, ll):
     stream.check_nodes(u, w)
     stream.check_temporal_node(tv)
     _lists(stream, (u, tv.node))
-    return _value(_anchored(stream, u, w, tv, ll))
+    found = _anchored(stream, u, w, tv, ll)
+    return ContributionResult(Q(_value(found)), found and found[0][0])
 
 
 def _value(found):
-    """ContributionResult of an `_anchor` result: its cell sum."""
+    """The exact contribution of an `_anchor` result, 0 for None: the sum
+    over the frame's cells of area * vol_div(vol_tv, denominator), an int
+    or a Fraction.  With d the frame's smallest dimension, a vol_tv of a
+    dimension above d, or of dimension d and a size above the smallest, is
+    not the volume of a subset of every denominator: VolumeError, as from
+    that cell's `vol_div`.  One below d gives 0 on every cell, and one of
+    dimension d gives size * weight."""
     if found is None:
-        return _NO_CONTRIBUTION
-    anchor, vol_tv, middle, prev, nxt = found
-    s, a = anchor
-    total = Q(0)
-    s_hi = s
-    for s_left, left in prev:
-        a_lo = a
-        for a_right, right in nxt:
-            denom = vol_add(vol_add(left, right), middle)
-            ratio = vol_div(vol_tv, denom)
-            if ratio:
-                total += (s_hi - s_left) * (a_right - a_lo) * ratio
-            a_lo = a_right
-        s_hi = s_left
-    return ContributionResult(total, anchor)
+        return 0
+    (*_, smallest, weight), vol_tv = found
+    if smallest is None:
+        return 0
+    _check_subset(vol_tv, smallest, "vol_div")
+    return vol_tv.size * weight if vol_tv.dim == smallest.dim else 0

@@ -168,6 +168,7 @@ class LinkStream:
         self._components = {}  # SnapshotGraph -> components of 2+ nodes
         self._bfs = {}  # (SnapshotGraph, node) -> BfsResult
         self._sweeps = {}  # (time, node) -> shortest_volumes.SweepTables
+        self._frames = {}  # (u, w, anchor index) -> contribution._frame result
         self._latency_lists = {}  # source -> latencies.latency_lists result
         self._twin = None  # lattice() at _scale: this stream or an int copy
 

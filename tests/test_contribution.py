@@ -1,11 +1,20 @@
+import importlib
+from unittest import mock
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from linkstream import (
+    BoundaryList,
+    LatencyList,
     Q,
     StreamError,
     TemporalNode,
     V_ZERO,
     Volume,
+    VolumeError,
+    VspResult,
+    betweenness,
     cell_ratio,
     contribution,
     latency_lists,
@@ -13,10 +22,15 @@ from linkstream import (
     parse_stream,
     prev_list,
     reachable,
+    vol_add,
+    vol_div,
+    vol_mul,
     vsp,
 )
 
-from conftest import random_stream, seeded
+from conftest import DEMO_TEXT, random_stream, seeded
+from test_lattice import huge_stream, integer_stream, quarters_stream
+from test_lazy import fresh, ticks
 from test_shared_state import quarter_stream
 
 
@@ -285,3 +299,200 @@ class TestContribution:
         ll = latency_lists(demo, "b")["c"]
         res = contribution(demo, "b", "c", tn(4, "c"), ll)
         assert res.value == 0 and res.anchor is None
+
+
+def reference_value(stream, u, w, tv, ll, boundaries):
+    """The contribution as the cell loop computes it: the anchor found by
+    its reach definition, and area * vol_div(vol_tv, denominator) summed
+    over the cells of `prev_list` and `next_list`.  `boundaries` keeps the
+    lists by (u, w, anchor)."""
+    t, v = tv
+    for x, y in ll:
+        if (x <= t <= y and reachable(stream, TemporalNode(x, u), tv)
+                and reachable(stream, tv, TemporalNode(y, w))):
+            break
+    else:
+        return Q(0)
+    whole = vsp(stream, TemporalNode(x, u), TemporalNode(y, w))
+    before = vsp(stream, TemporalNode(x, u), tv)
+    after = vsp(stream, tv, TemporalNode(y, w))
+    if whole.distance != before.distance + after.distance:
+        return Q(0)
+    key = (u, w, x, y)
+    if key not in boundaries:
+        boundaries[key] = (prev_list(stream, u, w, x, y, ll).entries,
+                           next_list(stream, u, w, x, y, ll).entries)
+    prev, nxt = boundaries[key]
+    vol_tv = vol_mul(before.volume, after.volume)
+    total = Q(0)
+    s_hi = x
+    for s_left, left in prev:
+        a_lo = y
+        for a_right, right in nxt:
+            denom = vol_add(vol_add(left, right), whole.volume)
+            total += (s_hi - s_left) * (a_right - a_lo) * vol_div(vol_tv, denom)
+            a_lo = a_right
+        s_hi = s_left
+    return total
+
+
+# int: an int-time stream, its own twin, so that `betweenness` and
+# `contribution` share its frames; huge: denominators near 10**30
+FRAME_STREAMS = {"int": lambda rng: integer_stream(rng).lattice()[0],
+                 "quarter": quarters_stream, "huge": huge_stream}
+
+
+class TestFrames:
+    """A frame keeps an anchor's parts that do not depend on t; every value
+    read from it is the cell loop's, whether the frame was just built or
+    was filled by earlier queries."""
+
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(kind=st.sampled_from(sorted(FRAME_STREAMS)),
+           seed=st.integers(0, 10**6))
+    def test_match_the_cell_loop(self, kind, seed):
+        rng = seeded(seed)
+        made = FRAME_STREAMS[kind](rng)
+        nodes = made.nodes
+        tvs = [TemporalNode(t, v) for t in ticks(made) for v in nodes]
+        ref_stream, boundaries = fresh(made), {}
+        expected = {}
+        for tv in tvs:
+            for u in nodes:
+                lists = latency_lists(ref_stream, u)
+                for w in nodes:
+                    expected[tv, u, w] = reference_value(
+                        ref_stream, u, w, tv, lists[w], boundaries)
+        queries = [(tv,) for tv in tvs] + list(expected)
+        filled = fresh(made)
+        rng.shuffle(queries)
+        for query in queries:
+            ask(filled, *query)
+        assert filled._frames or not any(expected.values())
+        for stream in (fresh(made), filled):
+            for tv in tvs:
+                total = sum((expected[tv, u, w] for u in nodes for w in nodes),
+                            Q(0))
+                for query, want in [((tv,), total)] + [
+                        ((tv, u, w), expected[tv, u, w])
+                        for u in nodes for w in nodes]:
+                    got = ask(stream, *query)
+                    assert (got, type(got)) == (want, type(want)), (
+                        made.serialize(), query)
+
+
+def ask(stream, tv, u=None, w=None):
+    """betweenness of tv, or the contribution of (u, w) to it."""
+    if u is None:
+        return betweenness(stream, tv)
+    return contribution(stream, u, w, tv, latency_lists(stream, u)[w]).value
+
+
+class TestSubsetCheck:
+    """A vol_tv that is not the volume of a subset of a cell's denominator
+    raises VolumeError, from a frame just built and from a kept one."""
+
+    @pytest.mark.parametrize("wrong", ["higher_dim", "larger_size"])
+    @pytest.mark.parametrize("query", ["betweenness", "contribution",
+                                       "cell_ratio"])
+    def test_raises_on_a_miss_and_a_hit(self, monkeypatch, wrong, query):
+        module = importlib.import_module("linkstream.contribution")
+        real = module.vol_mul
+
+        def patched(a, b):
+            vol = real(a, b)
+            if wrong == "higher_dim":
+                return Volume(vol.size, vol.dim + 1)
+            return Volume(vol.size + 10**9, vol.dim)
+
+        demo = parse_stream(DEMO_TEXT)
+        tv = tn("9/2", "c")  # a -> e: 63/2, and 3/4 on the cell at (0, 18)
+        ll = latency_lists(demo, "a")["e"]
+        run = {"betweenness": lambda: betweenness(demo, tv),
+               "contribution": lambda: contribution(demo, "a", "e", tv, ll),
+               "cell_ratio": lambda: cell_ratio(demo, "a", "e", tv, ll,
+                                                Q(0), Q(18))}[query]
+        frames = demo.lattice()[0]._frames if query == "betweenness" else demo._frames
+        monkeypatch.setattr(module, "vol_mul", patched)
+        with pytest.raises(VolumeError):
+            run()
+        kept = dict(frames)
+        assert kept  # the miss built and kept the frame
+        with pytest.raises(VolumeError):
+            run()
+        assert frames == kept  # and the second call read it
+
+
+class TestCallerList:
+    """A list that is not the stream's own gets a frame of its own, which
+    is not kept."""
+
+    def test_another_parse_leaves_the_frames(self):
+        demo = parse_stream(DEMO_TEXT)
+        own = latency_lists(demo, "b")["e"]
+        other = latency_lists(parse_stream(DEMO_TEXT), "b")["e"]
+        tvs = [TemporalNode(t, v) for t in ticks(demo) for v in demo.nodes]
+        values = [contribution(demo, "b", "e", tv, own) for tv in tvs]
+        kept = dict(demo._frames)
+        assert kept
+        assert [contribution(demo, "b", "e", tv, other) for tv in tvs] == values
+        assert demo._frames == kept
+
+    def test_a_shorter_list_is_not_read_from_the_frames(self):
+        demo = parse_stream(DEMO_TEXT)
+        own = latency_lists(demo, "b")["e"]
+        assert list(own)[1] == (14, 16)
+        cut = LatencyList(own.starts[:1] + own.starts[2:],
+                          own.arrivals[:1] + own.arrivals[2:])
+        tvs = [TemporalNode(t, v) for t in ticks(demo) for v in demo.nodes]
+        full = [contribution(demo, "b", "e", tv, own) for tv in tvs]
+        got = [contribution(demo, "b", "e", tv, cut) for tv in tvs]
+        clean = parse_stream(DEMO_TEXT)
+        assert got == [contribution(clean, "b", "e", tv, cut) for tv in tvs]
+        assert got != full
+
+
+volumes = st.builds(Volume, st.fractions(min_value=Q(1, 8), max_value=8)
+                    | st.integers(1, 8), st.integers(0, 3))
+
+
+class TestFrameCells:
+    """`_value` reads a frame's smallest denominator and weight: on cells of
+    any dimensions and sizes, also mixed ones, it gives the cell loop's sum
+    (an int or a Fraction: `contribution` and `betweenness` make it a
+    Fraction), and raises VolumeError exactly where a cell's `vol_div`
+    would."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(prev=st.lists(st.tuples(st.integers(1, 3), volumes | st.just(V_ZERO)),
+                         min_size=0, max_size=3),
+           nxt=st.lists(st.tuples(st.integers(1, 3), volumes | st.just(V_ZERO)),
+                        min_size=0, max_size=3),
+           middle=volumes, vol_tv=volumes)
+    def test_value_is_the_cell_loop(self, prev, nxt, middle, vol_tv):
+        module = importlib.import_module("linkstream.contribution")
+        s, a = 10, 20
+        prev = [(s - sum(d for d, _ in prev[:k + 1]), vol)
+                for k, (_, vol) in enumerate(prev)]
+        nxt = [(a + sum(d for d, _ in nxt[:k + 1]), vol)
+               for k, (_, vol) in enumerate(nxt)]
+        total = Q(0)
+        try:
+            s_hi = s
+            for s_left, left in prev:
+                a_lo = a
+                for a_right, right in nxt:
+                    denom = vol_add(vol_add(left, right), middle)
+                    total += (s_hi - s_left) * (a_right - a_lo) * vol_div(vol_tv, denom)
+                    a_lo = a_right
+                s_hi = s_left
+        except VolumeError:
+            total = VolumeError
+        with mock.patch.object(module, "prev_list", lambda *_: BoundaryList(prev)), \
+                mock.patch.object(module, "next_list", lambda *_: BoundaryList(nxt)):
+            frame = module._frame(None, "u", "w", s, a, None, VspResult(middle, 1))
+        try:
+            got = module._value((frame, vol_tv))
+        except VolumeError:
+            got = VolumeError
+        assert got == total
