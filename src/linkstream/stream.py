@@ -2,7 +2,8 @@
 
 A stream lives on a window [alpha, omega]; each unordered node pair carries a
 normalized set of maximal presence intervals.  Event times are the interval
-bounds; the instantaneous graph only changes there.
+bounds; the instantaneous graph only changes there.  `LinkStream(...)` and
+`parse_stream` build a stream and its int twin by one routine, `_build`.
 
 The event times cut the window into slots, on each of which the graph is
 constant: with n event times, slot 2i+1 is event time i, slot 2i is the open
@@ -18,7 +19,7 @@ from bisect import bisect_right
 from math import gcd, lcm
 from typing import NamedTuple
 
-from .numbers import Q, as_q, on_lattice, parse_time
+from .numbers import Q, as_q, parse_time
 from .static_graph import bfs_counts, connected_components
 
 
@@ -74,14 +75,6 @@ class IntervalSet:
             yield b
             yield e
 
-    def _mapped(self, f):
-        """The set with every bound replaced by f(bound), for a strictly
-        increasing f, which keeps the intervals sorted, disjoint and apart:
-        nothing is sorted or merged again."""
-        ivs = IntervalSet.__new__(IntervalSet)
-        ivs.intervals = [(f(b), f(e)) for b, e in self.intervals]
-        return ivs
-
 
 class SnapshotGraph:
     """Static undirected graph at one instant (or over one open gap)."""
@@ -111,54 +104,43 @@ class LinkStream:
     filled lazily."""
 
     def __init__(self, alpha, omega, nodes, presence):
-        if alpha > omega:
-            raise StreamError("alpha > omega")
-        self.alpha = alpha
-        self.omega = omega
-        self.nodes = tuple(sorted(set(nodes)))
-        self.presence = {}
-        for pair, ivs in presence.items():
-            u, v = pair
-            if u == v:
-                raise StreamError("self-link on node %r" % u)
-            if u not in self.nodes or v not in self.nodes:
-                raise StreamError("link on unknown node in pair %r" % (pair,))
-            key = (u, v) if u < v else (v, u)
-            if not isinstance(ivs, IntervalSet):
-                ivs = IntervalSet(ivs)
-            if key in self.presence:
-                ivs = IntervalSet(list(self.presence[key]) + list(ivs))
-            for b, e in ivs:
-                if b < alpha or e > omega:
-                    raise StreamError(
-                        "interval [%s, %s] outside [%s, %s]" % (b, e, alpha, omega)
-                    )
-            if len(ivs):
-                self.presence[key] = ivs
-        times = set()
-        for ivs in self.presence.values():
-            times.update(ivs.bounds())
-        for t in (alpha, omega, *times):
+        """The stream on [alpha, omega] of `nodes` linked over `presence`,
+        which maps node pairs, in either order, to intervals (b, e).  The
+        first failed check raises: a float time (TypeError), a self-link or
+        an unknown node, alpha > omega, then `_build`'s, named by the pair."""
+        links = [(pair, tuple(sorted(pair)), b, e)
+                 for pair, ivs in presence.items() for b, e in ivs]
+        values = {}
+        for t in (alpha, omega, *(t for _, _, b, e in links for t in (b, e))):
             if not isinstance(t, (int, Q)):
                 raise TypeError("cannot convert %r to an exact rational" % (t,))
-        self._set_events(sorted(times))
+            values.setdefault(t, t)
+        nodes = set(nodes)
+        for u, v in presence:
+            if u == v:
+                raise StreamError("self-link on node %r" % u)
+            if u not in nodes or v not in nodes:
+                raise StreamError("link on unknown node in pair %r" % ((u, v),))
+        if alpha > omega:
+            raise StreamError("alpha > omega")
+        self._set_parts(*_build((alpha, omega), nodes, links, values, "pair %r"))
 
     @classmethod
-    def _of_parts(cls, alpha, omega, nodes, presence, event_times):
+    def _of_parts(cls, alpha, omega, nodes, presence, event_times, twin=None):
         """The stream of parts that are already checked and normalized, as
-        `__init__` leaves them: sorted `nodes`, `presence` mapping ordered
-        pairs to non-empty IntervalSets inside [alpha, omega], and the sorted
-        distinct bounds of those sets as `event_times`."""
+        `_build` gives them: sorted `nodes`, `presence` mapping ordered pairs
+        to non-empty IntervalSets inside [alpha, omega], the sorted distinct
+        bounds of those sets as `event_times`, and the `twin` at the
+        stream's own L, None when the stream's times are ints (its own)."""
         stream = cls.__new__(cls)
-        stream.alpha, stream.omega = alpha, omega
-        stream.nodes, stream.presence = nodes, presence
-        stream._set_events(event_times)
+        stream._set_parts(alpha, omega, nodes, presence, event_times, twin)
         return stream
 
-    def _set_events(self, event_times):
-        self._event_times = event_times
+    def _set_parts(self, alpha, omega, nodes, presence, event_times, twin):
+        self.alpha, self.omega, self.nodes = alpha, omega, nodes
+        self.presence, self._event_times = presence, event_times
         # L, and the ticks t * L of the window ends and the event times
-        bounds = (self.alpha, self.omega, *event_times)
+        bounds = (alpha, omega, *event_times)
         self._scale = scale = lcm(*(t.denominator for t in bounds))
         ticks = [t.numerator * (scale // t.denominator) for t in bounds]
         self._end_ticks, self._event_ticks = ticks[:2], ticks[2:]
@@ -170,7 +152,7 @@ class LinkStream:
         self._sweeps = {}  # (time, node) -> shortest_volumes.SweepTables
         self._frames = {}  # (u, w, anchor index) -> contribution._frame result
         self._latency_lists = {}  # source -> latencies.latency_lists result
-        self._twin = None  # lattice() at _scale: this stream or an int copy
+        self._twin = twin  # lattice() at _scale; None: the stream itself
 
     # -- basic queries ----------------------------------------------------
 
@@ -290,26 +272,18 @@ class LinkStream:
     def lattice(self, times=()):
         """(twin, L): L is `scale(times)`, and twin is this stream with every
         time multiplied by L, so all its times are ints, and its own L is 1.
-        The twin of the stream's own L is found once and kept: the stream
-        itself when its times are ints already, otherwise an int copy
-        (`parse_stream` builds it with the stream).  A twin for a larger L
-        (from `times`) is built anew on each call."""
-        scale = self.scale(times)
-        if scale != self._scale:
-            return self._scaled(scale), scale
-        if self._twin is None:
-            bounds = (self.alpha, self.omega, *self._event_times)
-            own = all(type(t) is int for t in bounds)
-            self._twin = self if own else self._scaled(scale)
-        return self._twin, scale
-
-    def _scaled(self, scale):
-        def tick(t):
-            return on_lattice(t, scale)
-
-        presence = {pair: ivs._mapped(tick) for pair, ivs in self.presence.items()}
-        return LinkStream._of_parts(tick(self.alpha), tick(self.omega), self.nodes,
-                                    presence, list(map(tick, self._event_times)))
+        The twin at the stream's own L is built with the stream (`_build`):
+        an int copy, or the stream itself when its times are ints, which it
+        keeps from the first call only (built so, it would be freed by the
+        cycle collector alone).  A twin for a larger L is built anew on each
+        call, by multiplying the ticks of that one."""
+        scale, twin = self.scale(times), self._twin or self
+        self._twin = twin
+        if scale == self._scale:
+            return twin, scale
+        factor = scale // self._scale
+        parts = twin.alpha, twin.omega, twin.nodes, twin.presence, twin._event_times
+        return LinkStream._of_parts(*_mapped(lambda t: t * factor, *parts)), scale
 
     # -- serialization ----------------------------------------------------
 
@@ -335,13 +309,11 @@ def parse_stream(text):
     `#` starts a comment.  Overlapping or touching intervals on one pair
     are merged silently.
 
-    Each distinct time literal is parsed once.  The intervals are checked,
-    merged and sorted as ints, in ticks of 1/L for L the lcm of the
-    literals' denominators; they make the stream's integer twin
-    (`LinkStream.lattice`) as they stand, and the stream takes the rational
-    time of each tick from its literal.  If merging drops every bound that
-    needs some factor of L, the stream's own L is smaller, and the twin is
-    left to `lattice`.
+    Each distinct time literal is parsed once, into a `Fraction`, and the
+    stream and its integer twin (`LinkStream.lattice`) are built from the
+    literals' ticks by `_build`, as `LinkStream(...)` builds them from its
+    times.  Every error names its line; with several bad lines, the first
+    one in the file is reported.
     """
     header, links, nodes, values = None, [], set(), {}
 
@@ -353,7 +325,7 @@ def parse_stream(text):
 
     # Reading stops at the first line that fails a check of its own; the
     # checks that compare the times of a link run on the ticks after it,
-    # so a failed one on an earlier line is reported first.
+    # in `_build`, so a failed one on an earlier line is reported first.
     error = None
     try:
         for lineno, line in enumerate(text.splitlines(), start=1):
@@ -384,30 +356,57 @@ def parse_stream(text):
         error = StreamError("line %d: %s" % (lineno, exc))
     if header is None:
         raise error or StreamError("missing `alpha omega` header line")
-    scale = lcm(*(q.denominator for q in values.values()))
-    ticks = {lit: q.numerator * (scale // q.denominator) for lit, q in values.items()}
-    alpha, omega = (q.numerator * (scale // q.denominator) for q in header)
-    raw = {}
-    for lineno, key, b, e in links:
-        tb, te = ticks[b], ticks[e]
-        if tb > te:
-            raise StreamError("line %d: interval with b > e" % lineno)
-        if tb < alpha or te > omega:
-            raise StreamError("line %d: interval [%s, %s] outside [%s, %s]"
-                              % (lineno, values[b], values[e], *header))
-        raw.setdefault(key, []).append((tb, te))
+    parts = _build(header, nodes, links, values, "line %d")
     if error is not None:
         raise error
+    return LinkStream._of_parts(*parts)
+
+
+def _build(header, nodes, links, values, label):
+    """The parts of a stream, for `LinkStream._of_parts`: the one routine
+    that checks interval bounds, against each other and the window.
+
+    `values` maps keys to `int` or `Fraction` times (the literals of
+    `parse_stream`, the times themselves for `LinkStream`); `header` is
+    (alpha, omega), alpha <= omega; each link is (where, ordered pair, b,
+    e), b and e keys of `values`.  On ticks of 1/L, L the lcm of the
+    denominators, the first link with b > e or outside the window raises
+    StreamError, led by `label % (where,)`; each pair's intervals are
+    merged and sorted (`IntervalSet`); each tick maps back to its value, so
+    a time given as an `int` and as a `Fraction` takes the first one's type.
+    The twin is the stream itself when every value is an `int`, otherwise
+    the stream of ticks, divided by their gcd when merging dropped every
+    bound that needs some factor of L."""
+    scale = lcm(*(q.denominator for q in values.values()))
+    ticks = {key: q.numerator * (scale // q.denominator) for key, q in values.items()}
+    alpha, omega = (q.numerator * (scale // q.denominator) for q in header)
+    raw = {}
+    for where, key, b, e in links:
+        tb, te = ticks[b], ticks[e]
+        if tb > te:
+            raise StreamError("%s: interval with b > e" % (label % (where,)))
+        if tb < alpha or te > omega:
+            raise StreamError("%s: interval [%s, %s] outside [%s, %s]"
+                              % (label % (where,), values[b], values[e], *header))
+        raw.setdefault(key, []).append((tb, te))
     nodes = tuple(sorted(nodes.union(*raw)))  # and the two ends of each pair
     presence = {key: IntervalSet(ivs) for key, ivs in raw.items()}
-    times = set()
-    for ivs in presence.values():
-        times.update(ivs.bounds())
-    events = sorted(times)
-    rational = {ticks[lit]: q for lit, q in values.items()}.__getitem__
-    stream = LinkStream._of_parts(
-        *header, nodes, {key: ivs._mapped(rational) for key, ivs in presence.items()},
-        list(map(rational, events)))
-    if gcd(scale, alpha, omega, *events) == 1:
-        stream._twin = LinkStream._of_parts(alpha, omega, nodes, presence, events)
-    return stream
+    times = sorted({t for ivs in presence.values() for t in ivs.bounds()})
+    ticked = (alpha, omega, nodes, presence, times)
+    if all(type(q) is int for q in values.values()):
+        return (*ticked, None)
+    rational = {ticks[key]: q for key, q in values.items()}.__getitem__
+    g = gcd(scale, alpha, omega, *times)  # the stream's own L is scale // g
+    twin = ticked if g == 1 else _mapped(lambda t: t // g, *ticked)
+    return (*_mapped(rational, *ticked), LinkStream._of_parts(*twin))
+
+
+def _mapped(f, alpha, omega, nodes, presence, events):
+    """The parts of a stream with every time t replaced by f(t), for a
+    strictly increasing f, which keeps each pair's intervals sorted,
+    disjoint and apart: nothing is checked, sorted or merged again."""
+    mapped = {}
+    for pair, ivs in presence.items():
+        mapped[pair] = IntervalSet.__new__(IntervalSet)
+        mapped[pair].intervals = [(f(b), f(e)) for b, e in ivs.intervals]
+    return f(alpha), f(omega), nodes, mapped, list(map(f, events))

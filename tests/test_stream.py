@@ -1,5 +1,6 @@
 from bisect import bisect_left
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -188,11 +189,13 @@ class TestParseStream:
 
 
 def reference_parse(text):
-    """(stream, twin, L) of `text` built without ticks: a LinkStream over
-    the `parse_time` value of every literal, its own L, and its twin a
-    LinkStream validated and normalized anew over the `on_lattice` ticks of
-    those times.  Reads well-formed text only."""
-    header, nodes, presence = None, set(), {}
+    """(parts, twin parts, L) of `text`, as `typed_parts` gives them, found
+    without ticks and without `LinkStream(...)`: the `parse_time` value of
+    every literal, the intervals of each pair merged by an IntervalSet over
+    those Fractions, L the lcm of the denominators of the window ends and
+    the merged bounds, and the twin the `on_lattice` image of those times.
+    Reads well-formed text only."""
+    header, nodes, raw = None, set(), {}
     for line in text.splitlines():
         fields = line.split("#", 1)[0].split()
         if not fields:
@@ -205,27 +208,42 @@ def reference_parse(text):
             u, v, b, e = fields
             nodes.update((u, v))
             key = (u, v) if u < v else (v, u)
-            presence.setdefault(key, []).append((parse_time(b), parse_time(e)))
-    stream = LinkStream(*header, nodes, presence)
-    scale = stream.scale()
-    twin = LinkStream(
-        on_lattice(stream.alpha, scale), on_lattice(stream.omega, scale),
-        stream.nodes,
-        {pair: [(on_lattice(b, scale), on_lattice(e, scale)) for b, e in ivs]
-         for pair, ivs in stream.presence.items()})
-    return stream, twin, scale
+            raw.setdefault(key, []).append((parse_time(b), parse_time(e)))
+    presence = {key: list(IntervalSet(ivs)) for key, ivs in raw.items()}
+    events = sorted({t for ivs in presence.values() for iv in ivs for t in iv})
+    scale = lcm(*(t.denominator for t in (*header, *events)))
+    parts = (*header, sorted(nodes), presence, events)
+    return typed(*parts), lattice_image(*parts, scale), scale
+
+
+def lattice_image(alpha, omega, nodes, presence, events, scale):
+    """`typed` parts of a stream's times mapped by `on_lattice` to ticks of
+    1/scale."""
+    def tick(t):
+        return on_lattice(t, scale)
+
+    return typed(tick(alpha), tick(omega), nodes,
+                 {pair: [(tick(b), tick(e)) for b, e in ivs]
+                  for pair, ivs in presence.items()},
+                 map(tick, events))
+
+
+def typed(alpha, omega, nodes, presence, events):
+    """Every part of a stream, each time with its type, presence in
+    insertion order."""
+    def time(t):
+        return type(t).__name__, t
+
+    return (time(alpha), time(omega), tuple(nodes),
+            [(pair, [(time(b), time(e)) for b, e in ivs])
+             for pair, ivs in presence.items()],
+            [time(t) for t in events])
 
 
 def typed_parts(stream):
-    """Every field a parse fills, each time with its type, presence in
-    insertion order."""
-    def typed(t):
-        return type(t).__name__, t
-
-    return (typed(stream.alpha), typed(stream.omega), stream.nodes,
-            [(pair, [(typed(b), typed(e)) for b, e in ivs])
-             for pair, ivs in stream.presence.items()],
-            [typed(t) for t in stream.event_times()])
+    """`typed` parts of the stream: every field a parse fills."""
+    return typed(stream.alpha, stream.omega, stream.nodes, stream.presence,
+                 stream.event_times())
 
 
 def spellings(q):
@@ -290,27 +308,27 @@ class TestParseOnTicks:
     def test_matches_reference_parse(self, text):
         stream = parse_stream(text)
         ref, ref_twin, scale = reference_parse(text)
-        assert typed_parts(stream) == typed_parts(ref)
+        assert typed_parts(stream) == ref
         twin, twin_scale = stream.lattice()
         assert twin_scale == scale == stream.scale()
         assert twin is not stream
-        assert typed_parts(twin) == typed_parts(ref_twin)
-        assert typed_parts(ref._scaled(scale)) == typed_parts(ref_twin)
+        assert typed_parts(twin) == ref_twin
 
     def test_twin_is_built_at_parse_time(self):
         stream = parse_stream("0 10\na b 1/4 3\nb c 0.5 7\n")
         assert stream._twin is not None and stream._scale == 4
         assert stream.lattice() == (stream._twin, 4)
 
-    def test_merged_away_denominator_leaves_the_twin_to_lattice(self):
+    def test_merged_away_denominator_is_divided_out_of_the_twin(self):
         # 1/3 is inside [0, 5] on the same pair: no time of the stream
         # needs thirds, so its own L is 1, not the literals' 3
         text = "0 10\na b 0 5\na b 1/3 2\n"
         stream = parse_stream(text)
-        assert stream._twin is None
-        assert stream.lattice()[1] == stream.scale() == 1
+        assert stream._twin is not None and stream._twin is not stream
+        assert stream._scale == stream.scale() == 1
         ref, ref_twin, _ = reference_parse(text)
-        assert typed_parts(stream.lattice()[0]) == typed_parts(ref_twin)
+        assert stream.lattice() == (stream._twin, 1)
+        assert typed_parts(stream._twin) == ref_twin
 
     def test_one_value_written_several_ways(self):
         stream = parse_stream("0 10\na b 0.5 1\nc d 1/2 2/2\ne f +2/4 1.0\n")
@@ -354,6 +372,72 @@ class TestParseOnTicks:
         with pytest.raises(StreamError) as info:
             parse_stream(text)
         assert str(info.value) == message
+
+
+def rebuilt(stream, rng):
+    """Arguments of `LinkStream(...)` that give `stream` again: its nodes
+    repeated and out of order, and each interval of a pair repeated, cut
+    into two touching parts or given with a zero-length copy of one end,
+    spread over one or both orders of the pair, each a list or an
+    IntervalSet.  The pairs come in sorted order, as in a parse.  A cut of
+    a Fraction interval may need a denominator that no time of the stream
+    needs: merging drops it."""
+    presence = {}
+    for u, v in sorted(stream.presence):
+        pieces = []
+        for b, e in stream.presence[(u, v)]:
+            cut = b + (e - b) // 2 if type(b) is int else (b + e) / 2
+            pieces += rng.choice([[(b, e)], [(b, e), (b, e)],
+                                  [(b, cut), (cut, e)], [(e, e), (b, e)]])
+        rng.shuffle(pieces)
+        orders = [(u, v), (v, u)]
+        rng.shuffle(orders)
+        split = rng.randint(0, len(pieces))
+        for pair, part in zip(orders, (pieces[:split], pieces[split:])):
+            if part or rng.random() < 0.5:
+                presence[pair] = rng.choice([list, IntervalSet])(part)
+    nodes = list(stream.nodes) * 2
+    rng.shuffle(nodes)
+    return stream.alpha, stream.omega, nodes, presence
+
+
+class TestOneBuild:
+    """`LinkStream(...)` and `parse_stream` build a stream and its twin by
+    one routine: the two doors give the same typed parts, and `lattice()`
+    finds the twin built."""
+
+    @settings(max_examples=120, deadline=None, derandomize=True,
+              database=None)
+    @given(kind=st.sampled_from(sorted(SLOT_STREAMS)),
+           seed=st.integers(0, 10**6), factor=st.sampled_from([2, 3, 7]))
+    def test_both_doors_build_the_same_stream_and_twin(self, kind, seed,
+                                                       factor):
+        rng = seeded(seed)
+        stream = LinkStream(*rebuilt(SLOT_STREAMS[kind](rng), rng))
+        parsed = parse_stream(stream.serialize())
+        parsed_twin, scale = parsed.lattice()
+        built = []
+        of_parts = LinkStream._of_parts.__func__
+
+        def counted(cls, *parts):
+            built.append(parts)
+            return of_parts(cls, *parts)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(LinkStream, "_of_parts", classmethod(counted))
+            twin, own = stream.lattice()
+            assert not built
+            wide, wide_scale = stream.lattice([Q(1, factor * scale)])
+            assert len(built) == 1
+        # an int stream is its own twin; a parse gives Fractions
+        assert (twin is stream) == (kind == "int")
+        assert typed_parts(stream) == typed_parts(
+            parsed_twin if kind == "int" else parsed)
+        assert own == scale and typed_parts(twin) == typed_parts(parsed_twin)
+        assert wide_scale == factor * scale
+        assert typed_parts(wide) == lattice_image(
+            stream.alpha, stream.omega, stream.nodes, stream.presence,
+            stream.event_times(), wide_scale)
 
 
 class TestEventTimes:
@@ -586,6 +670,36 @@ class TestLinkStreamValidation:
         with pytest.raises(TypeError, match="cannot convert .* to an exact "
                                             "rational"):
             LinkStream(alpha, omega, "ab", {("a", "b"): [bounds]})
+
+    @pytest.mark.parametrize("args,error,message", [
+        # a float time first, also one equal to an int given before it
+        ((Q(5), Q(0), "a", {("a", "a"): [(Q(1), 2.0)]}), TypeError,
+         "cannot convert 2.0 to an exact rational"),
+        ((0, 5, "ab", {("a", "b"): [(1, 1.0)]}), TypeError,
+         "cannot convert 1.0 to an exact rational"),
+        # then the pairs, in order, before alpha > omega
+        ((5, 0, "ab", {("a", "b"): [(3, 1)], ("a", "a"): [(1, 2)]}),
+         StreamError, "self-link on node 'a'"),
+        ((5, 0, "ab", {("b", "z"): [(3, 1)], ("a", "a"): [(1, 2)]}),
+         StreamError, "link on unknown node in pair ('b', 'z')"),
+        ((5, 0, "ab", {("a", "b"): [(3, 1)]}), StreamError, "alpha > omega"),
+        # then parse_stream's checks per interval, in order, led by the
+        # pair as given
+        ((0, 5, "ab", {("a", "b"): [(1, 6)]}), StreamError,
+         "pair ('a', 'b'): interval [1, 6] outside [0, 5]"),
+        ((Q(0), Q(10), "ab", {("b", "a"): [(Q(-1, 2), Q(1))]}), StreamError,
+         "pair ('b', 'a'): interval [-1/2, 1] outside [0, 10]"),
+        ((0, 5, "ab", {("b", "a"): [(3, 1)]}), StreamError,
+         "pair ('b', 'a'): interval with b > e"),
+        ((0, 5, "abc", {("a", "b"): [(1, 2), (4, 3)], ("a", "c"): [(1, 9)]}),
+         StreamError, "pair ('a', 'b'): interval with b > e"),
+        ((0, 5, "abc", {("a", "c"): [(1, 2), (1, 9)], ("a", "b"): [(4, 3)]}),
+         StreamError, "pair ('a', 'c'): interval [1, 9] outside [0, 5]"),
+    ])
+    def test_diagnostics_and_their_order(self, args, error, message):
+        with pytest.raises(error) as info:
+            LinkStream(*args)
+        assert type(info.value) is error and str(info.value) == message
 
     def test_check_temporal_node(self, demo):
         demo.check_temporal_node(TemporalNode(Q(0), "a"))
