@@ -25,11 +25,13 @@ step 1/8, and `grid_count_shortest`, `grid_betweenness` (the nodes of one
 call at different probe times) and `grid_fastest` again at step 1/32,
 where the runs of grid indices with one snapshot are long, so that a
 change to the oracle's scans, grid table or run crossing that moves an
-estimate changes the digest; of `profile` at 7 and 40 samples on every
-4th stream moved by -7/3, 5/2 or -3 (all three time kinds with each
+estimate changes the digest; of `profile` at 7, 40 and 120 samples on
+every 4th stream moved by -7/3, 5/2 or -3 (all three time kinds with each
 shift), so that the sample times are checked where alpha is negative or
-not an integer and the sample count does not divide the span; and of
-`profile(demo, 1000)`.  Each output is hashed with its query and the type
+not an integer and the sample count does not divide the span, and where
+gaps hold many samples, and on the same stream with every time t mapped
+to (t + 1/(10**30 - 1)) * 3/(10**30 + 7), a fourth time kind whose
+denominators are near 10**30; and of `profile(demo, 1000)`.  Each output is hashed with its query and the type
 of every number, so an int that turns into an equal Fraction changes the
 digest.
 
@@ -55,8 +57,9 @@ ORACLE_EVERY = 20  # every ORACLE_EVERY-th stream (all three time kinds)
 ORACLE_STEPS = (Fraction(1, 8), Fraction(1, 16))  # gets the grid oracle
 LONG_RUN_STEP = Fraction(1, 32)  # and three entry points at this step too
 PROFILE_EVERY = 4  # every PROFILE_EVERY-th stream, moved by a shift, gets
-PROFILE_SAMPLES = (7, 40)  # profile at these sample counts
+PROFILE_SAMPLES = (7, 40, 120)  # profile at these sample counts
 PROFILE_SHIFTS = (Fraction(-7, 3), Fraction(5, 2), -3)
+HUGE = (10**30 + 7, 10**30 - 1)  # and on times with these denominators
 TIME_KINDS = {
     "int": lambda k: k,
     "fraction": Fraction,
@@ -204,16 +207,21 @@ def oracle_outputs(ls, n, stream):
 
 def profile_outputs(ls, n, stream):
     """(query, output) lines of `profile` at each of PROFILE_SAMPLES on the
-    stream with every time moved by a shift of PROFILE_SHIFTS; the shift
-    changes every 3 * PROFILE_EVERY streams, so each time kind gets each."""
+    stream with every time moved by a shift of PROFILE_SHIFTS (the shift
+    changes every 3 * PROFILE_EVERY streams, so each time kind gets each),
+    and on the stream with every time t mapped to (t + 1/H1) * 3/H0, H the
+    HUGE denominators."""
     shift = PROFILE_SHIFTS[n // (3 * PROFILE_EVERY) % len(PROFILE_SHIFTS)]
-    presence = {pair: [(b + shift, e + shift) for b, e in ivs]
-                for pair, ivs in stream.presence.items()}
-    moved = ls.LinkStream(stream.alpha + shift, stream.omega + shift,
-                          stream.nodes, presence)
-    for samples in PROFILE_SAMPLES:
-        for tv, value in ls.profile(moved, samples).samples:
-            yield ("PS", n, samples, typed(tuple(tv))), typed(value)
+    for kind, f in (("PS", lambda t: t + shift),
+                    ("PH", lambda t: (t + Fraction(1, HUGE[1]))
+                     * Fraction(3, HUGE[0]))):
+        presence = {pair: [(f(b), f(e)) for b, e in ivs]
+                    for pair, ivs in stream.presence.items()}
+        moved = ls.LinkStream(f(stream.alpha), f(stream.omega), stream.nodes,
+                              presence)
+        for samples in PROFILE_SAMPLES:
+            for tv, value in ls.profile(moved, samples).samples:
+                yield (kind, n, samples, typed(tuple(tv))), typed(value)
 
 
 def typed(value):

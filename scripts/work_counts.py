@@ -10,7 +10,7 @@ each session on a fresh parse of its stream (perfbench/workloads.py, every
 pool in pool order, each query once), and prints:
 
     oracle-verify: pair_walks=<n> usable_starts=<n> zero_duration=<n> pair_counts=<n>
-    profile: evaluations=<n> scans=<n> steps=<n>
+    profile: evaluations=<n> scans=<n> steps=<n> gap_passes=<n>
     synth-session: evaluations=<n> scans=<n> steps=<n>
 
 `pair_walks` counts the calls of `oracle._grid_contributions` (one per
@@ -19,9 +19,11 @@ from which those pairs reach their destination, `zero_duration` those that
 arrive at their own index, and `pair_counts` the calls of
 `oracle._pair_counts`.  `evaluations` counts the calls of `betweenness`,
 `scans` the boundary scans (calls of `contribution._scan`, one per prev or
-next list), and `steps` the sweep steps (calls of
-`shortest_volumes._advance`).  The counts do not depend on timing, so two
-trees can be compared line by line.
+next list), `steps` the sweep steps (calls of
+`shortest_volumes._advance`), and `gap_passes` the passes of `profile`
+over the pairs of one open gap and node (calls of
+`betweenness._gap_pass`; 0 on a tree without it).  The counts do not
+depend on timing, so two trees can be compared line by line.
 
 DIR is the directory holding the `linkstream` package (default: `src/`
 next to this script).  The workload module is imported read-only, without
@@ -41,8 +43,11 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 def wrap(module, name, count):
-    """Call count with the arguments of each call of module.name."""
-    fn = getattr(module, name)
+    """Call count with the arguments of each call of module.name, if the
+    module has it."""
+    fn = getattr(module, name, None)
+    if fn is None:
+        return
 
     def counted(*args, **kwargs):
         count(*args, **kwargs)
@@ -79,6 +84,7 @@ def main(argv=None):
     wrap(modules["linkstream.betweenness"], "betweenness", tally("evaluations"))
     wrap(modules["linkstream.contribution"], "_scan", tally("scans"))
     wrap(modules["linkstream.shortest_volumes"], "_advance", tally("steps"))
+    wrap(modules["linkstream.betweenness"], "_gap_pass", tally("gap_passes"))
 
     def report(name, keys):
         print("%s: %s" % (name, " ".join("%s=%d" % (key, counts[key])
@@ -100,7 +106,7 @@ def main(argv=None):
     (prof,) = (e for e in workloads.pool("demo-profile")
                if isinstance(e, workloads.Profile))
     ls.profile(ls.parse_stream(prof.text), prof.samples)
-    report("profile", ("evaluations", "scans", "steps"))
+    report("profile", ("evaluations", "scans", "steps", "gap_passes"))
     for session in workloads.pool("synth-session"):
         stream = ls.parse_stream(session.text)
         for t, node in (session.cold, *session.warm):

@@ -6,7 +6,12 @@ are exact rationals.  A grid-discretization oracle is included for
 validation.
 """
 
-from .betweenness import BetweennessProfile, betweenness, profile
+from .betweenness import (
+    BetweennessProfile,
+    betweenness,
+    gap_polynomial,
+    profile,
+)
 from .contribution import (
     BoundaryList,
     ContributionResult,
@@ -21,7 +26,7 @@ from .latencies import (
     latency,
     latency_lists,
 )
-from .numbers import Q, format_decimal, parse_time
+from .numbers import Poly, Q, format_decimal, parse_time
 from .oracle import (
     GridError,
     GridSpec,
@@ -65,6 +70,7 @@ __all__ = [
     "LatencyList",
     "LatencyPair",
     "LinkStream",
+    "Poly",
     "Q",
     "SnapshotGraph",
     "StreamError",
@@ -80,6 +86,7 @@ __all__ = [
     "connected_components",
     "contribution",
     "format_decimal",
+    "gap_polynomial",
     "grid_betweenness",
     "grid_contribution",
     "grid_count_shortest",

@@ -123,10 +123,13 @@ def _anchored(stream, u, w, tv, ll):
     return _anchor(stream, u, w, tv, ll, x_max, y_min, frames)
 
 
-def _anchor(stream, u, w, tv, ll, x_max, y_min, frames):
+def _anchor(stream, u, w, tv, ll, x_max, y_min, frames, through=None):
     """(frame, vol_tv): the `_frame` of the anchor latency pair and the
     volume of its shortest fastest paths through tv; None when no shortest
-    fastest path from u to w involves tv.
+    fastest path from u to w involves tv.  tv's time may also be a `Poly`
+    t_k + s on an open gap, which no sweep can place: then through(x, u, y,
+    w) gives the vsp from (x,u) to tv and from tv to (y,w), with sizes
+    that are polynomials in s (`gap_polynomial`).
 
     The anchor is the first pair (x, y) of `ll` such that (x,u) reaches tv
     and tv reaches (y,w).  Paths may wait, so reaching is monotone at both
@@ -148,11 +151,13 @@ def _anchor(stream, u, w, tv, ll, x_max, y_min, frames):
     k = bisect_left(ll.arrivals, y_min)
     if k >= bisect_right(ll.starts, x_max):
         return None
-    t, v = tv
     x, y = ll.starts[k], ll.arrivals[k]
     whole = _vsp(stream, x, u, y, w)
-    before = _vsp(stream, x, u, t, v)
-    after = _vsp(stream, t, v, y, w)
+    if through is None:
+        t, v = tv
+        before, after = _vsp(stream, x, u, t, v), _vsp(stream, t, v, y, w)
+    else:
+        before, after = through(x, u, y, w)
     if whole.distance != before.distance + after.distance:
         return None
     frame = frames.get((u, w, k))

@@ -1,11 +1,14 @@
 """Exact rational time arithmetic.
 
 All times and volume sizes are exact rationals: ``Q`` is
-``fractions.Fraction``.
+``fractions.Fraction``.  ``Poly`` is a polynomial with such coefficients,
+for sizes that depend on a time inside an open gap.
 """
 
 import re
 from fractions import Fraction
+from math import lcm
+from operator import add
 
 Q = Fraction
 
@@ -46,6 +49,92 @@ def exact_div(num, den):
         q, r = divmod(num, den)
         return Q(num, den) if r else q
     return num / den
+
+
+class Poly:
+    """A polynomial in one variable s with exact coefficients, lowest degree
+    first, without trailing zeros (the zero polynomial has none).  It has
+    the arithmetic that sweep steps do on volume sizes: +, -, *, ** by an
+    int, / by an int and == with numbers, so a size that depends on a time
+    in an open gap can be carried through them as a polynomial in that
+    time.  Called with a value of s, it evaluates."""
+
+    __slots__ = ("coefficients",)
+
+    def __init__(self, coefficients):
+        c = list(coefficients)
+        while c and c[-1] == 0:
+            c.pop()
+        self.coefficients = tuple(c)
+
+    def __add__(self, other):
+        a, b = self.coefficients, _coefficients(other)
+        if len(a) < len(b):
+            a, b = b, a
+        return Poly((*map(add, a, b), *a[len(b):]))
+
+    def __mul__(self, other):
+        if not isinstance(other, Poly):
+            return Poly(c * other for c in self.coefficients)
+        a, b = self.coefficients, other.coefficients
+        out = [0] * (len(a) + len(b))
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+        return Poly(out)
+
+    __radd__, __rmul__ = __add__, __mul__
+
+    def __sub__(self, other):
+        return self + other * -1
+
+    def __rsub__(self, other):
+        return self * -1 + other
+
+    def __pow__(self, d):
+        result = Poly((1,))
+        for _ in range(d):
+            result *= self
+        return result
+
+    def __truediv__(self, n):
+        return Poly(exact_div(c, n) for c in self.coefficients)
+
+    def __eq__(self, other):
+        return self.coefficients == _coefficients(other)
+
+    def __hash__(self):  # equal to a number's hash when equal to the number
+        c = self.coefficients
+        return hash(c if len(c) > 1 else sum(c))
+
+    def __call__(self, s):
+        return horner(self.coefficients[::-1], s)
+
+    def __repr__(self):
+        return "Poly(%s)" % (list(self.coefficients),)
+
+
+def _coefficients(value):
+    if isinstance(value, Poly):
+        return value.coefficients
+    return (value,) if value != 0 else ()
+
+
+def on_ints(value):
+    """(ints, d) for a `Poly` or a number: d the lcm of the coefficients'
+    denominators, and ints the coefficients times d, highest degree first,
+    to evaluate with `horner` on int values of s in int arithmetic."""
+    c = _coefficients(value)
+    d = lcm(*(as_q(x).denominator for x in c))
+    return [int(x * d) for x in reversed(c)], d
+
+
+def horner(ints, s):
+    """The polynomial of the coefficients `ints`, highest degree first, at s."""
+    value = 0
+    for c in ints:
+        value = value * s + c
+    return value
 
 
 def on_lattice(t, scale):

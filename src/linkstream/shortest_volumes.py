@@ -103,12 +103,16 @@ class SweepTables:
     up to it that have not run yet, and an off-event time, omega included,
     extends the state at the event time before it (or at the source).  The
     source is placed once, before event time `first`: step n arrives at
-    event time first + n - 1, and takes its slots from that index."""
+    event time first + n - 1, and takes its slots from that index.  A given
+    `slot` places a source time that the stream cannot place: a `Poly`
+    t_k + s on the open gap of that slot, whose sizes are then polynomials
+    in s (`betweenness.gap_polynomial`)."""
 
-    def __init__(self, stream, i, u):
+    def __init__(self, stream, i, u, slot=None):
         self.stream = stream
         self.source = (i, u)
-        slot = stream.slot(i)
+        if slot is None:
+            slot = stream.slot(i)
         self.first = (slot + 1) // 2
         self.times = [i] + stream._event_times[self.first:]
         init = stream.bfs(slot, u)
@@ -142,11 +146,19 @@ class SweepTables:
                               % (j, self.source[0]))
         if on or times[k] == j:
             return self._state(k)
+        # every event time after the source is on the table, so j lies in a
+        # gap, slot 2n, which is also the graph at j
+        return self.on_gap(n, j)
+
+    def on_gap(self, n, j):
+        """(dist, vol) maps at time j on the open gap of slot 2n, later than
+        the table's time before it (event time n - 1, or the source): that
+        state extended across the rest.  j may be a `Poly` t_k + s, which
+        `state_at` cannot place."""
         state = self._extensions.get(j)
         if state is None:
-            # every event time after the source is on the table, so j lies
-            # in a gap, slot 2n, which is also the graph at j
-            state = _advance(self.stream, 2 * n, 2 * n, j - times[k],
+            k = n - self.first
+            state = _advance(self.stream, 2 * n, 2 * n, j - self.times[k],
                              *self._state(k))
             self._extensions[j] = state
         return state

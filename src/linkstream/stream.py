@@ -145,10 +145,14 @@ class LinkStream:
         ticks = [t.numerator * (scale // t.denominator) for t in bounds]
         self._end_ticks, self._event_ticks = ticks[:2], ticks[2:]
         # Tables that do not depend on a query's source, filled on first use
-        # and shared by every query.
-        self._snapshots = None  # slot -> SnapshotGraph, one per link set
-        self._components = {}  # SnapshotGraph -> components of 2+ nodes
-        self._bfs = {}  # (SnapshotGraph, node) -> BfsResult
+        # and shared by every query.  The slot tables (slot -> SnapshotGraph,
+        # one per link set; its graphs -> components of 2+ nodes; (graph,
+        # node) -> BfsResult) are also shared with every twin (`lattice`):
+        # the slots are the same, and the int twin builds them, so no
+        # Fraction is hashed.
+        self._snapshots, self._components, self._bfs = (
+            ([], {}, {}) if twin is None
+            else (twin._snapshots, twin._components, twin._bfs))
         self._sweeps = {}  # (time, node) -> shortest_volumes.SweepTables
         self._frames = {}  # (u, w, anchor index) -> contribution._frame result
         self._latency_lists = {}  # source -> latencies.latency_lists result
@@ -208,10 +212,12 @@ class LinkStream:
 
     def snapshot(self, k):
         """The graph of slot k, one graph per set of links: all slots are
-        built in one pass over the sorted interval endpoints on first use."""
-        if self._snapshots is None:
+        built in one pass over the sorted interval endpoints of the int
+        twin on first use."""
+        if not self._snapshots:
+            ints = self._twin or self
             starts, ends = {}, {}
-            for pair, ivs in self.presence.items():
+            for pair, ivs in ints.presence.items():
                 for b, e in ivs:
                     starts.setdefault(b, []).append(pair)
                     ends.setdefault(e, []).append(pair)
@@ -224,14 +230,14 @@ class LinkStream:
                     graphs[key] = SnapshotGraph(self.nodes, active)
                 return graphs[key]
 
-            slots = [graph()]
-            for t in self._event_times:
+            slots = self._snapshots
+            slots.append(graph())
+            for t in ints._event_times:
                 active.update(dict.fromkeys(starts.get(t, ())))
                 slots.append(graph())
                 for pair in ends.get(t, ()):
                     del active[pair]
                 slots.append(graph())
-            self._snapshots = slots
         return self._snapshots[k]
 
     def components(self, k):
@@ -283,7 +289,10 @@ class LinkStream:
             return twin, scale
         factor = scale // self._scale
         parts = twin.alpha, twin.omega, twin.nodes, twin.presence, twin._event_times
-        return LinkStream._of_parts(*_mapped(lambda t: t * factor, *parts)), scale
+        wide = LinkStream._of_parts(*_mapped(lambda t: t * factor, *parts))
+        wide._snapshots, wide._components, wide._bfs = (
+            self._snapshots, self._components, self._bfs)
+        return wide, scale
 
     # -- serialization ----------------------------------------------------
 

@@ -2,20 +2,26 @@ import importlib
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from linkstream import (
     LinkStream,
+    Poly,
     Q,
     StreamError,
     TemporalNode,
+    Volume,
+    VolumeError,
     betweenness,
     contribution,
+    gap_polynomial,
     latency_lists,
     parse_stream,
     profile,
 )
 
-from conftest import random_stream, relay_stream, seeded
+from conftest import DEMO_TEXT, random_stream, relay_stream, seeded
+from test_lattice import huge_stream, integer_stream, quarters_stream
 from test_lazy import int_stream, ticks
 from test_shared_state import quarter_stream
 
@@ -182,6 +188,26 @@ def evaluations(monkeypatch):
     return calls
 
 
+def open_gaps(stream):
+    """(k, t_k, end) for each open gap slot k that holds a time: the gap
+    runs from t_k, the event time before it (alpha on the first gap), to
+    end, the event time after it (omega on the last gap)."""
+    events = stream.event_times()
+    bounds = [stream.alpha, *events, stream.omega]
+    return [(2 * n, bounds[n], bounds[n + 1]) for n in range(len(events) + 1)
+            if bounds[n] < bounds[n + 1]]
+
+
+def gap_values(stream, prof):
+    """(k, v) -> the values of `prof` on the open gap slot k, for node v."""
+    by_gap = {}
+    for tv, value in prof.samples:
+        k = stream.slot(tv.time)
+        if not k & 1:
+            by_gap.setdefault((k, tv.node), []).append(value)
+    return by_gap
+
+
 # the demo, and the first seeds whose 40-sample profile has a gap of three
 # or more samples on which the betweenness of some node varies
 VARYING_GAPS = [
@@ -208,46 +234,39 @@ class TestPerGapProfile:
                 per_slot = Counter(
                     (stream.slot(tv.time), tv.node) for tv, _ in prof.samples
                 )
-                for (k, v), count in per_slot.items():
+                for k, v in per_slot:
                     if k & 1:
                         seen.add("event time")
-                    elif count <= per_gap._degree_bound(stream, k, v) + 2:
-                        seen.add("direct gap")
+                    elif len(gap_polynomial(stream, k, v).coefficients) > 1:
+                        seen.add("varying gap")
                     else:
-                        seen.add("interpolated gap")
+                        seen.add("constant gap")
                 if make is relay_stream and n == 40:
-                    by_gap = {}
-                    for tv, value in prof.samples:
-                        k = stream.slot(tv.time)
-                        if not k & 1:
-                            by_gap.setdefault((k, tv.node), []).append(value)
-                    for (k, _), values in by_gap.items():
+                    for (k, _), values in gap_values(stream, prof).items():
                         if len(values) > 2:
                             slope = [b - a for a, b in zip(values, values[1:])]
                             shape = (len(set(values)) > 1) + (len(set(slope)) > 1)
                             varies[case, k] = max(varies.get((case, k), 0), shape)
-        assert seen == {"event time", "direct gap", "interpolated gap"}
-        # the interpolated gaps are not all constant polynomials, nor all
-        # linear ones
+        assert seen == {"event time", "constant gap", "varying gap"}
+        # the gaps are not all constant polynomials, nor all linear ones
         assert sum(map(bool, varies.values())) >= len(varies) / 5, varies
         assert 2 in varies.values(), varies
 
-    def test_forced_fallback_stays_exact(self, demo, monkeypatch):
-        monkeypatch.setattr(per_gap, "_degree_bound", lambda stream, k, v: 0)
+    def test_gap_runs_follow_their_polynomials(self, demo):
+        """Each gap run of a 40-sample profile is its gap polynomial at the
+        run's times, and on each of these streams some run varies."""
         for make, seed in VARYING_GAPS:
             stream = demo if make is None else make(seeded(seed))
             prof = profile(stream, 40)
-            expected = direct(stream, prof)
-            assert prof.samples == expected, stream.serialize()
-            # some such gap is not constant, so a degree-0 fit fails its
-            # check at the gap's last sample
-            by_gap = {}
-            for tv, value in expected:
+            assert prof.samples == direct(stream, prof), stream.serialize()
+            starts = {k: t_k for k, t_k, _ in open_gaps(stream)}
+            for tv, value in prof.samples:
                 k = stream.slot(tv.time)
                 if not k & 1:
-                    by_gap.setdefault((k, tv.node), []).append(value)
+                    poly = gap_polynomial(stream, k, tv.node)
+                    assert poly(tv.time - starts[k]) == value
             assert any(len(values) > 2 and len(set(values)) > 1
-                       for values in by_gap.values())
+                       for values in gap_values(stream, prof).values())
 
     @pytest.mark.parametrize("text", [
         "5 5\na b 5 5\n",  # a single-instant window: one run of equal times
@@ -268,22 +287,97 @@ class TestPerGapProfile:
         assert len(evaluations) < 1000
 
     @pytest.mark.parametrize("make,seed", VARYING_GAPS)
-    def test_no_check_fails_with_the_proved_bound(self, demo, evaluations,
-                                                  make, seed):
-        """Each run of a node's samples in one slot costs min(len, D + 2)
-        evaluations (D + 1 to start the differences, one check), with no
-        fallback to direct evaluation."""
+    def test_direct_only_at_events(self, demo, evaluations, monkeypatch,
+                                   make, seed):
+        """`betweenness` runs once per sample at an event time, and nowhere
+        else; each gap slot that holds samples gets one gap pass per node."""
+        passes = []
+        gap_pass = per_gap._gap_pass
+
+        def counted(twin, k, v):
+            passes.append((k, v))
+            return gap_pass(twin, k, v)
+
+        monkeypatch.setattr(per_gap, "_gap_pass", counted)
         stream = demo if make is None else make(seeded(seed))
         stream = LinkStream(stream.alpha, stream.omega, stream.nodes,
                             stream.presence)
-        prof = profile(stream, 1000 if make is None else 120)
-        per_slot = Counter(stream.slot(tv.time) for tv, _ in prof.samples
-                           if tv.node == stream.nodes[0])
-        expected = sum(min(count, per_gap._degree_bound(stream, k, v) + 2)
-                       for k, count in per_slot.items() for v in stream.nodes)
-        assert len(evaluations) == expected
+        n = 1000 if make is None else 120
+        prof = profile(stream, n)
+        slots = [stream.slot(tv.time) for tv, _ in prof.samples]
+        events = [tv for (tv, _), k in zip(prof.samples, slots) if k & 1]
+        scale = stream.scale([Q(stream.omega - stream.alpha, n)])
+        assert [(Q(t, scale), v) for t, v in evaluations] == events
+        gaps = {(k, tv.node) for (tv, _), k in zip(prof.samples, slots)
+                if not k & 1}
+        assert sorted(passes) == sorted(gaps)
         if make is None:
-            assert expected == 341
+            assert (len(evaluations), len(passes)) == (25, 125)
+
+
+# every kind of time: ints, quarters, denominators near 10**30, and relay
+# streams, whose gaps often hold a varying betweenness
+GAP_STREAMS = {"integer": integer_stream, "quarter": quarters_stream,
+               "huge": huge_stream, "relay": relay_stream}
+
+
+class TestGapPolynomial:
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(kind=st.sampled_from(sorted(GAP_STREAMS)),
+           seed=st.integers(0, 10**6))
+    def test_equals_direct_evaluation(self, kind, seed):
+        """At each gap's midpoint, its thirds and a random rational inside
+        it, for every node, the polynomial is `betweenness` evaluated on a
+        stream of its own; its degree is at most 2*ecc_k(v)."""
+        rng = seeded(seed)
+        stream = GAP_STREAMS[kind](rng)
+        fresh = LinkStream(stream.alpha, stream.omega, stream.nodes,
+                           stream.presence)
+        for k, t_k, end in open_gaps(stream):
+            q = rng.randint(2, 10**9)
+            parts = [Q(1, 2), Q(1, 3), Q(2, 3), Q(rng.randint(1, q - 1), q)]
+            for v in stream.nodes:
+                poly = gap_polynomial(stream, k, v)
+                ecc = max(stream.bfs(k, v).dist.values())
+                assert len(poly.coefficients) - 1 <= 2 * ecc
+                for part in parts:
+                    s = (end - t_k) * part
+                    want = betweenness(fresh, TemporalNode(t_k + s, v))
+                    assert poly(s) == want, (stream.serialize(), k, v, s)
+
+    @pytest.mark.parametrize("k", [-2, 1, 3, 99])
+    def test_rejects_slots_that_are_not_open_gaps(self, demo, k):
+        with pytest.raises(ValueError):
+            gap_polynomial(demo, k, "a")
+
+    def test_rejects_unknown_nodes(self, demo):
+        with pytest.raises(StreamError):
+            gap_polynomial(demo, 2, "z")
+
+    @pytest.mark.parametrize("wrong", ["higher_dim", "larger_size",
+                                       "larger_varying_size"])
+    def test_profile_keeps_the_subset_guard(self, monkeypatch, wrong):
+        """With vol_tv patched to a higher dimension or a larger size (or
+        only where its size varies on the gap), the gap passes of `profile`
+        raise VolumeError on their own: the direct evaluations at event
+        times are replaced by 0."""
+        module = importlib.import_module("linkstream.contribution")
+        real = module.vol_mul
+
+        def patched(a, b):
+            vol = real(a, b)
+            if wrong == "higher_dim":
+                return Volume(vol.size, vol.dim + 1)
+            if wrong == "larger_size" or (isinstance(vol.size, Poly)
+                                          and len(vol.size.coefficients) > 1):
+                return Volume(vol.size + 10**9, vol.dim)
+            return vol
+
+        monkeypatch.setattr(per_gap, "betweenness", lambda stream, tv: Q(0))
+        profile(parse_stream(DEMO_TEXT), 1000)  # no gap pass raises as is
+        monkeypatch.setattr(module, "vol_mul", patched)
+        with pytest.raises(VolumeError):
+            profile(parse_stream(DEMO_TEXT), 1000)
 
 
 def with_late_and_isolated_nodes(stream):
