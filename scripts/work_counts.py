@@ -4,13 +4,14 @@ benchmark pools, one line per pool.
     python3 scripts/work_counts.py [--src DIR]
 
 runs each `betweenness --verify` query of the oracle-verify pool through
-the CLI, then `profile(demo, 1000)` on a fresh parse of perfbench/demo.ls,
-then the cold and warm `betweenness` queries of each synth-session session,
+the CLI, then `profile(demo, 1000)` on a fresh parse of perfbench/demo.ls
+and again on the same parse, then the cold and warm `betweenness` queries of each synth-session session,
 each session on a fresh parse of its stream (perfbench/workloads.py, every
 pool in pool order, each query once), and prints:
 
     oracle-verify: pair_walks=<n> usable_starts=<n> zero_duration=<n> pair_counts=<n>
     profile: evaluations=<n> scans=<n> steps=<n> gap_passes=<n>
+    profile-repeat: evaluations=<n> scans=<n> steps=<n> gap_passes=<n>
     synth-session: evaluations=<n> scans=<n> steps=<n>
 
 `pair_walks` counts the calls of `oracle._grid_contributions` (one per
@@ -105,8 +106,11 @@ def main(argv=None):
     between = modules["linkstream.betweenness"].betweenness
     (prof,) = (e for e in workloads.pool("demo-profile")
                if isinstance(e, workloads.Profile))
-    ls.profile(ls.parse_stream(prof.text), prof.samples)
+    parsed = ls.parse_stream(prof.text)
+    ls.profile(parsed, prof.samples)
     report("profile", ("evaluations", "scans", "steps", "gap_passes"))
+    ls.profile(parsed, prof.samples)
+    report("profile-repeat", ("evaluations", "scans", "steps", "gap_passes"))
     for session in workloads.pool("synth-session"):
         stream = ls.parse_stream(session.text)
         for t, node in (session.cold, *session.warm):

@@ -113,7 +113,11 @@ def _gap_pass(twin, k, v):
     `Poly` in s of the twin's B(t_k + s, v), and limits holds (size,
     smallest) for each anchored pair whose vol_tv has the frame's smallest
     dimension: size, a `Poly` in s or a number, must not exceed
-    smallest.size at any t."""
+    smallest.size at any t.
+
+    Every anchored frame has a cell, so a smallest: `contribution._scan`
+    returns no boundary only for an instantaneous anchor (s, s), and here
+    x <= x_max <= t_k < t_{k+1} <= y_min <= y."""
     ev, n = twin._event_times, k // 2
     # B = 0 on the first and the last gap: no pair reaches into the one, or
     # out of the other
@@ -134,8 +138,6 @@ def _gap_pass(twin, k, v):
     total, limits = Poly(()), []
     for (*_, smallest, weight), vol_tv in _anchors(
             twin, TemporalNode(time, v), t_k, ev[n], through):
-        if smallest is None:
-            continue
         if vol_tv.dim > smallest.dim:  # not a subset at any t of the gap
             _check_subset(vol_tv, smallest, "vol_div")
         if vol_tv.dim == smallest.dim:
@@ -154,62 +156,71 @@ def profile(stream, samples_per_node, threads=1):
     (`gap_polynomial`) at each of its times, so the cost grows with the
     number of gaps, not with the number of samples.
 
-    The work runs on an integer-time twin of the stream whose lattice also
-    holds every sample time (`LinkStream.lattice`, given the sample
-    spacing), so the sample ticks are ints, alpha's tick plus i spacings.
-    Each gap polynomial is taken over a common denominator and evaluated at
-    the ticks in int arithmetic, and each value is one Fraction, over that
-    denominator times L**2, as `betweenness` divides by L**2.  The subset
-    guard's size half is checked there too: each limit of the gap pass at
-    each tick.
+    The work runs on the stream's int twin (`LinkStream.lattice`), as
+    `betweenness` does, so a repeated profile reuses its tables.  With
+    step = (omega - alpha) / samples_per_node in ticks and m its
+    denominator, sample i sits at tick a_i / m, a_i = alpha*m +
+    i*step.numerator: it is placed by ints (`_slot`), and evaluated in
+    ints (`on_ints`), each value one Fraction over the piece's
+    denominator times L**2.  The subset guard's size half is checked
+    there too: each limit of the gap pass at each sample.
 
     `threads` is accepted and ignored: the samples share the stream's
     tables, and evaluating them serially is the fastest way.  It stays
     because the benchmark (`perfbench/run.py`) passes `threads=1`."""
     if samples_per_node < 1:
         raise ValueError("samples_per_node must be >= 1")
-    spacing = Q(stream.omega - stream.alpha, samples_per_node)
-    twin, scale = stream.lattice([spacing])
-    step = spacing.numerator * (scale // spacing.denominator)
-    ticks = [twin.alpha + i * step for i in range(samples_per_node + 1)]
-    times = [Q(tick, scale) for tick in ticks]
-    runs = [(k, list(run)) for k, run in groupby(ticks, twin.slot)]
-    norm = scale * scale
+    twin, scale = stream.lattice()
+    step = Q(twin.omega - twin.alpha, samples_per_node)
+    m = step.denominator
+    ticks = [twin.alpha * m + i * step.numerator
+             for i in range(samples_per_node + 1)]
+    times = [Q(a, scale * m) for a in ticks]
+    runs = [(k, list(run))
+            for k, run in groupby(ticks, lambda a: _slot(twin, a, m))]
     samples = []
     for v in twin.nodes:
-        values = chain.from_iterable(_run_values(twin, k, v, run, norm)
+        values = chain.from_iterable(_run_values(twin, k, v, run, m, scale)
                                      for k, run in runs)
         samples.extend(zip((TemporalNode(t, v) for t in times), values))
     return BetweennessProfile(samples)
 
 
-def _run_values(twin, k, v, ticks, norm):
-    """Exact betweenness of (t, v), divided by norm, for the ascending ticks
-    t of slot k of the int twin (equal ticks included, as in a
-    single-instant window): directly at an event time, otherwise from
-    `_gap_pass`, with each limit checked at each tick, or once when its
-    size is constant.  A constant polynomial gives one Fraction for the
-    run."""
+def _slot(twin, a, m):
+    """The slot of the int twin holding a/m, for ints a and m > 0."""
+    k = twin.slot(a // m)  # past an event tick a // m lies the gap after it
+    return k + 1 if a % m and k & 1 else k
+
+
+def _run_values(twin, k, v, ticks, m, scale):
+    """Exact betweenness of (a/m, v) in the stream's units, for the
+    ascending ticks a/m of slot k of the int twin (equal ticks included, as
+    in a single-instant window), from the slot's piece: the constant value
+    at an event time, whose subset guard has run, or the `_gap_pass` of a
+    gap, with each limit checked at each tick, or once when constant."""
     if k & 1:
-        return [betweenness(twin, TemporalNode(t, v)) / norm for t in ticks]
-    t_k, total, limits = _gap_pass(twin, k, v)
+        t_k = twin._event_times[k // 2]
+        total, limits = Poly((betweenness(twin, TemporalNode(t_k, v)),)), []
+    else:
+        t_k, total, limits = _gap_pass(twin, k, v)
     guards = []
     for size, smallest in limits:
-        size_ints, size_den = on_ints(size)
-        # size(s) <= smallest.size iff its int numerator is at most this
+        size_ints, size_den = on_ints(size, m)
+        # size(s/m) <= smallest.size iff its int numerator is at most this
         guard = size_ints, floor(smallest.size * size_den), size_den, smallest
         if len(size_ints) > 1:
             guards.append(guard)
         else:
             _check_size(0, *guard)
-    ints, den = on_ints(total)
+    ints, den = on_ints(total, m)
+    den *= scale * scale
     values = []
-    for t in ticks:
-        s = t - t_k
+    for a in ticks:
+        s = a - t_k * m
         for guard in guards:
             _check_size(s, *guard)
         values.append(values[-1] if values and len(ints) < 2
-                      else Q(horner(ints, s), den * norm))
+                      else Q(horner(ints, s), den))
     return values
 
 

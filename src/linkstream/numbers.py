@@ -120,13 +120,13 @@ def _coefficients(value):
     return (value,) if value != 0 else ()
 
 
-def on_ints(value):
-    """(ints, d) for a `Poly` or a number: d the lcm of the coefficients'
-    denominators, and ints the coefficients times d, highest degree first,
-    to evaluate with `horner` on int values of s in int arithmetic."""
-    c = _coefficients(value)
-    d = lcm(*(as_q(x).denominator for x in c))
-    return [int(x * d) for x in reversed(c)], d
+def on_ints(value, m):
+    """(ints, d) for a `Poly` or a number in s and an int m > 0: d the lcm
+    of the denominators of its coefficients c_j / m**j, and ints those times
+    d, highest degree first, so value(a/m) = horner(ints, a) / d for int a."""
+    c = [Q(x, m**j) for j, x in enumerate(_coefficients(value))]
+    d = lcm(*(x.denominator for x in c))
+    return [x.numerator * (d // x.denominator) for x in reversed(c)], d
 
 
 def horner(ints, s):

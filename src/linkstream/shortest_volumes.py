@@ -15,6 +15,7 @@ it, not to omega.  Gap graphs and their BFS tables do not depend on the
 source: the stream's slot tables hold them once for every sweep.
 """
 
+import weakref
 from math import factorial
 from operator import itemgetter
 from typing import NamedTuple
@@ -106,10 +107,11 @@ class SweepTables:
     event time first + n - 1, and takes its slots from that index.  A given
     `slot` places a source time that the stream cannot place: a `Poly`
     t_k + s on the open gap of that slot, whose sizes are then polynomials
-    in s (`betweenness.gap_polynomial`)."""
+    in s (`betweenness.gap_polynomial`).  The stream, whose `_sweeps` holds
+    the tables, is held by a weak reference: no cycle keeps it alive."""
 
     def __init__(self, stream, i, u, slot=None):
-        self.stream = stream
+        self._stream = weakref.ref(stream)
         self.source = (i, u)
         if slot is None:
             slot = stream.slot(i)
@@ -127,7 +129,7 @@ class SweepTables:
 
     def _state(self, k):
         """(dist, vol) maps at times[k], running the sweep up to it."""
-        stream, states, times = self.stream, self.states, self.times
+        stream, states, times = self._stream(), self.states, self.times
         while len(states) <= k:
             n = len(states)
             slot = 2 * (self.first + n) - 1
@@ -138,7 +140,7 @@ class SweepTables:
     def state_at(self, j):
         """(dist, vol) maps at time j, source time <= j <= omega."""
         times = self.times
-        n, on = self.stream._place(j)
+        n, on = self._stream()._place(j)
         # k counts the event times on the table up to j
         k = n - self.first
         if k <= 0 and j < times[0]:
@@ -158,7 +160,7 @@ class SweepTables:
         state = self._extensions.get(j)
         if state is None:
             k = n - self.first
-            state = _advance(self.stream, 2 * n, 2 * n, j - self.times[k],
+            state = _advance(self._stream(), 2 * n, 2 * n, j - self.times[k],
                              *self._state(k))
             self._extensions[j] = state
         return state

@@ -147,16 +147,15 @@ class LinkStream:
         # Tables that do not depend on a query's source, filled on first use
         # and shared by every query.  The slot tables (slot -> SnapshotGraph,
         # one per link set; its graphs -> components of 2+ nodes; (graph,
-        # node) -> BfsResult) are also shared with every twin (`lattice`):
-        # the slots are the same, and the int twin builds them, so no
-        # Fraction is hashed.
+        # node) -> BfsResult) are the twin's (`lattice`): the slots are the
+        # same, and the twin builds them on ints, so no Fraction is hashed.
         self._snapshots, self._components, self._bfs = (
             ([], {}, {}) if twin is None
             else (twin._snapshots, twin._components, twin._bfs))
         self._sweeps = {}  # (time, node) -> shortest_volumes.SweepTables
         self._frames = {}  # (u, w, anchor index) -> contribution._frame result
         self._latency_lists = {}  # source -> latencies.latency_lists result
-        self._twin = twin  # lattice() at _scale; None: the stream itself
+        self._twin = twin  # lattice(); None: the stream itself
 
     # -- basic queries ----------------------------------------------------
 
@@ -275,24 +274,11 @@ class LinkStream:
         The stream's own L, without `times`, is computed when it is built."""
         return lcm(self._scale, *(as_q(t).denominator for t in times))
 
-    def lattice(self, times=()):
-        """(twin, L): L is `scale(times)`, and twin is this stream with every
-        time multiplied by L, so all its times are ints, and its own L is 1.
-        The twin at the stream's own L is built with the stream (`_build`):
-        an int copy, or the stream itself when its times are ints, which it
-        keeps from the first call only (built so, it would be freed by the
-        cycle collector alone).  A twin for a larger L is built anew on each
-        call, by multiplying the ticks of that one."""
-        scale, twin = self.scale(times), self._twin or self
-        self._twin = twin
-        if scale == self._scale:
-            return twin, scale
-        factor = scale // self._scale
-        parts = twin.alpha, twin.omega, twin.nodes, twin.presence, twin._event_times
-        wide = LinkStream._of_parts(*_mapped(lambda t: t * factor, *parts))
-        wide._snapshots, wide._components, wide._bfs = (
-            self._snapshots, self._components, self._bfs)
-        return wide, scale
+    def lattice(self):
+        """(twin, L): L is `scale()`, and twin, built with the stream
+        (`_build`), is the stream with every time multiplied by L: an int
+        copy, or the stream itself when its times are ints; its own L is 1."""
+        return self._twin or self, self._scale
 
     # -- serialization ----------------------------------------------------
 

@@ -267,6 +267,8 @@ class TestPerGapProfile:
                     assert poly(tv.time - starts[k]) == value
             assert any(len(values) > 2 and len(set(values)) > 1
                        for values in gap_values(stream, prof).values())
+        assert repr(gap_polynomial(demo, 40, "c")) == (
+            "Poly([Fraction(384, 11), Fraction(0, 1), Fraction(-96, 11)])")
 
     @pytest.mark.parametrize("text", [
         "5 5\na b 5 5\n",  # a single-instant window: one run of equal times
@@ -285,6 +287,40 @@ class TestPerGapProfile:
         prof = profile(fresh, 1000)
         assert len(prof.samples) == 5005
         assert len(evaluations) < 1000
+
+    @pytest.mark.parametrize("make,seed", VARYING_GAPS)
+    def test_repeat_reuses_the_twin(self, monkeypatch, make, seed):
+        """A second profile on the same stream gives the same samples, and
+        runs no boundary scan: every frame is kept on the twin."""
+        stream = parse_stream(DEMO_TEXT if make is None
+                              else make(seeded(seed)).serialize())
+        n = 1000 if make is None else 120
+        first = profile(stream, n)
+        scans = []
+        module = importlib.import_module("linkstream.contribution")
+        scan = module._scan
+
+        def counted(*args):
+            scans.append(args)
+            return scan(*args)
+
+        monkeypatch.setattr(module, "_scan", counted)
+        assert profile(stream, n) == first
+        assert scans == []
+
+    @pytest.mark.parametrize("make", [quarters_stream, huge_stream,
+                                      relay_stream])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_samples_are_placed_by_ints(self, make, seed):
+        """Each sample tick a/m of the twin is placed by ints in the slot
+        where `slot` places the Fraction a/m."""
+        twin, _ = make(seeded(seed)).lattice()
+        for n in (1, 7, 40, 120):
+            step = Q(twin.omega - twin.alpha, n)
+            m = step.denominator
+            for i in range(n + 1):
+                a = twin.alpha * m + i * step.numerator
+                assert per_gap._slot(twin, a, m) == twin.slot(Q(a, m)), (n, i)
 
     @pytest.mark.parametrize("make,seed", VARYING_GAPS)
     def test_direct_only_at_events(self, demo, evaluations, monkeypatch,
@@ -306,7 +342,7 @@ class TestPerGapProfile:
         prof = profile(stream, n)
         slots = [stream.slot(tv.time) for tv, _ in prof.samples]
         events = [tv for (tv, _), k in zip(prof.samples, slots) if k & 1]
-        scale = stream.scale([Q(stream.omega - stream.alpha, n)])
+        scale = stream.scale()
         assert [(Q(t, scale), v) for t, v in evaluations] == events
         gaps = {(k, tv.node) for (tv, _), k in zip(prof.samples, slots)
                 if not k & 1}

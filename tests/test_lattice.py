@@ -68,7 +68,6 @@ class TestLattice:
     def test_integer_stream_is_its_own_twin(self):
         stream = LinkStream(0, 10, "ab", {("a", "b"): [(1, 5)]})
         assert stream.lattice() == (stream, 1)
-        assert stream.lattice([Q(4)]) == (stream, 1)
 
     def test_twin_times_are_ints(self):
         stream = quarter_stream(seeded(9))
@@ -90,15 +89,6 @@ class TestLattice:
         twin, _ = stream.lattice()
         betweenness(stream, TemporalNode(Q(9, 2), "c"))
         assert stream.lattice()[0] is twin
-        assert stream.lattice([Q(3)])[0] is twin
-
-    def test_sample_times_widen_the_lattice_without_caching(self, demo):
-        times = [Q(32 * i, 1000) for i in range(1001)]
-        twin, scale = demo.lattice(times)
-        assert scale == 125
-        assert twin.omega == 32 * 125
-        assert demo.lattice(times)[0] is not twin
-        assert demo.lattice()[1] == 1
 
     def test_float_times_are_rejected(self, demo):
         with pytest.raises(TypeError, match="exact rational"):

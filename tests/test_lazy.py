@@ -293,7 +293,9 @@ class TestPlacement:
         state, also when the source lies off the event times."""
         stream = STREAMS[kind](seeded(3600 + seed))
         for x in ticks(stream)[1:]:
-            tables = sweep_tables(fresh(stream), x, stream.nodes[0])
+            # the tables hold their stream by a weak reference: keep it
+            queried = fresh(stream)
+            tables = sweep_tables(queried, x, stream.nodes[0])
             for before in (x - Q(1, 10**40), x - Q(1, 8)):
                 if before >= stream.alpha:
                     with pytest.raises(StreamError, match="before source"):

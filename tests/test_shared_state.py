@@ -9,7 +9,11 @@ from linkstream import (
     Q,
     TemporalNode,
     betweenness,
+    contribution,
+    latency_lists,
     parse_stream,
+    profile,
+    vsp,
 )
 
 from conftest import DEMO_TEXT, random_stream, seeded
@@ -72,9 +76,30 @@ class TestSharedTables:
             assert [reused[k] for k in range(len(queries))] == fresh, shared.serialize()
 
     def test_queried_stream_is_freed(self):
-        stream = parse_stream(DEMO_TEXT)
-        betweenness(stream, TemporalNode(Q(9, 2), "c"))
-        ref = weakref.ref(stream)
-        del stream
-        gc.collect()
-        assert ref() is None
+        """A dropped stream and its twin are freed by reference counting
+        alone, with the cycle collector off: a parsed stream (with an int
+        twin of its own) and an int-built one (its own twin), each after
+        one kind of query."""
+        tv = TemporalNode(Q(9, 2), "c")
+        queries = [
+            lambda s: betweenness(s, tv),
+            lambda s: profile(s, 40),
+            lambda s: vsp(s, TemporalNode(Q(1), "a"), TemporalNode(Q(14), "e")),
+            lambda s: contribution(s, "a", "e", tv, latency_lists(s, "a")["e"]),
+        ]
+        alive = []
+        gc.disable()
+        try:
+            for parsed in (True, False):
+                for k, query in enumerate(queries):
+                    stream = parse_stream(DEMO_TEXT)
+                    if not parsed:
+                        stream = int_times(stream)
+                    query(stream)
+                    refs = weakref.ref(stream), weakref.ref(stream.lattice()[0])
+                    del stream
+                    if any(ref() is not None for ref in refs):
+                        alive.append((parsed, k))
+        finally:
+            gc.enable()
+        assert alive == []
