@@ -10,9 +10,9 @@ each session on a fresh parse of its stream (perfbench/workloads.py, every
 pool in pool order, each query once), and prints:
 
     oracle-verify: pair_walks=<n> usable_starts=<n> zero_duration=<n> pair_counts=<n>
-    profile: evaluations=<n> scans=<n> steps=<n> gap_passes=<n>
-    profile-repeat: evaluations=<n> scans=<n> steps=<n> gap_passes=<n>
-    synth-session: evaluations=<n> scans=<n> steps=<n>
+    profile: evaluations=<n> scans=<n> steps=<n> gap_passes=<n> frames=<n> sweeps=<n>
+    profile-repeat: evaluations=<n> scans=<n> steps=<n> gap_passes=<n> frames=<n> sweeps=<n>
+    synth-session: evaluations=<n> scans=<n> steps=<n> frames=<n> sweeps=<n>
 
 `pair_walks` counts the calls of `oracle._grid_contributions` (one per
 node pair that a grid's scan walks), `usable_starts` the first crossings
@@ -23,8 +23,10 @@ arrive at their own index, and `pair_counts` the calls of
 next list), `steps` the sweep steps (calls of
 `shortest_volumes._advance`), and `gap_passes` the passes of `profile`
 over the pairs of one open gap and node (calls of
-`betweenness._gap_pass`; 0 on a tree without it).  The counts do not
-depend on timing, so two trees can be compared line by line.
+`betweenness._gap_pass`; 0 on a tree without it), `frames` the anchor
+frames built (calls of `contribution._frame`), and `sweeps` the sweep
+tables built (calls of `SweepTables.__init__`).  The counts do not depend
+on timing, so two trees can be compared line by line.
 
 DIR is the directory holding the `linkstream` package (default: `src/`
 next to this script).  The workload module is imported read-only, without
@@ -86,6 +88,9 @@ def main(argv=None):
     wrap(modules["linkstream.contribution"], "_scan", tally("scans"))
     wrap(modules["linkstream.shortest_volumes"], "_advance", tally("steps"))
     wrap(modules["linkstream.betweenness"], "_gap_pass", tally("gap_passes"))
+    wrap(modules["linkstream.contribution"], "_frame", tally("frames"))
+    wrap(modules["linkstream.shortest_volumes"].SweepTables, "__init__",
+         tally("sweeps"))
 
     def report(name, keys):
         print("%s: %s" % (name, " ".join("%s=%d" % (key, counts[key])
@@ -107,15 +112,17 @@ def main(argv=None):
     (prof,) = (e for e in workloads.pool("demo-profile")
                if isinstance(e, workloads.Profile))
     parsed = ls.parse_stream(prof.text)
+    keys = ("evaluations", "scans", "steps", "gap_passes", "frames", "sweeps")
     ls.profile(parsed, prof.samples)
-    report("profile", ("evaluations", "scans", "steps", "gap_passes"))
+    report("profile", keys)
     ls.profile(parsed, prof.samples)
-    report("profile-repeat", ("evaluations", "scans", "steps", "gap_passes"))
+    report("profile-repeat", keys)
     for session in workloads.pool("synth-session"):
         stream = ls.parse_stream(session.text)
         for t, node in (session.cold, *session.warm):
             between(stream, ls.TemporalNode(ls.parse_time(t), node))
-    report("synth-session", ("evaluations", "scans", "steps"))
+    report("synth-session",
+           ("evaluations", "scans", "steps", "frames", "sweeps"))
 
 
 if __name__ == "__main__":

@@ -49,20 +49,27 @@ def _anchors(twin, tv, t_lo, t_hi, through=None):
     for a temporal node tv = (t, v) of the int twin, with t_lo <= t <= t_hi
     the ticks that place it: the reach bounds are placed once per
     destination w (y_min) and once per source u (x_max), and a pair lacking
-    either has no anchor."""
+    either has no anchor.
+
+    A pair (u, u) contributes 0.  A u->u list holds only instantaneous
+    pairs (e, e), and the anchor needs e <= x_max <= t_lo <= t <= t_hi <=
+    y_min <= e, so t = e is an event time (on no gap pass, where t_lo <
+    t_hi) and the anchor's distance is 0: the distance test passes only
+    for v == u.  Both boundary scans then stop at once, as u is at
+    distance 0 from itself on the gap beside e, except at a window end,
+    where a scan gives that end alone; so a cell exists only when e is
+    both alpha and omega, and its area is 0."""
     v = tv.node
     table = _lists(twin, twin.nodes)
     y_mins = {w: y for w, y in ((w, _y_min(table[v][w], t_hi))
                                 for w in twin.nodes) if y is not None}
-    frames = twin._frames  # the lists are the twin's own
     for u in twin.nodes:
         x_max = _x_max(table[u][v], t_lo)
         if x_max is None:
             continue
         lists = table[u]
         for w, y_min in y_mins.items():
-            found = _anchor(twin, u, w, tv, lists[w], x_max, y_min, frames,
-                            through)
+            found = _anchor(twin, u, w, tv, lists[w], x_max, y_min, through)
             if found is not None:
                 yield found
 
@@ -128,11 +135,11 @@ def _gap_pass(twin, k, v):
     source = SweepTables(twin, time, v, k)
 
     def through(x, u, y, w):
-        dist, vol = sweep_tables(twin, x, u).on_gap(n, time)
+        dist, vol = sweep_tables(twin, x, u).on_gap(n, time, twin)
         # y is an event time: its state is read on the table by index, so
         # y is never compared with the source time t_k + s, which has no
         # order (perfbench's tracer of `state_at` bisects a table's times)
-        dist2, vol2 = source._state(twin._place(y)[0] - n)
+        dist2, vol2 = source._state(twin._place(y)[0] - n, twin)
         return VspResult(vol[v], dist[v]), VspResult(vol2[w], dist2[w])
 
     total, limits = Poly(()), []

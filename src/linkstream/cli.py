@@ -8,6 +8,7 @@ import argparse
 import functools
 import sys
 from fractions import Fraction
+from math import lcm
 
 from .betweenness import betweenness, profile
 from .contribution import contribution
@@ -94,12 +95,11 @@ def _fmt(value, args):
 
 def _verify_steps(stream, *times):
     """Two grid steps refining the event/query-time lattice 8- and 16-fold."""
-    base = Fraction(1, stream.scale(times))
+    base = Fraction(1, lcm(stream.scale(), *(t.denominator for t in times)))
     return GridSpec(base / 8), GridSpec(base / 16)
 
 
-def _cmd_volumes(args):
-    stream = _load(args.stream)
+def _cmd_volumes(stream, args):
     src = _temporal_node(stream, args.src)
     dst = _temporal_node(stream, args.dst)
     res = vsp(stream, src, dst)
@@ -121,8 +121,7 @@ def _cmd_volumes(args):
     return 0
 
 
-def _cmd_latencies(args):
-    stream = _load(args.stream)
+def _cmd_latencies(stream, args):
     lists = latency_lists(stream, args.source)
     for w in stream.nodes:
         pairs = " ".join("(%s,%s)" % (_fmt(s, args), _fmt(a, args))
@@ -131,8 +130,7 @@ def _cmd_latencies(args):
     return 0
 
 
-def _cmd_contrib(args):
-    stream = _load(args.stream)
+def _cmd_contrib(stream, args):
     tv = _temporal_node(stream, args.at)
     lists = latency_lists(stream, args.source)
     stream.check_nodes(args.dest)
@@ -146,8 +144,7 @@ def _cmd_contrib(args):
     return 0
 
 
-def _cmd_betweenness(args):
-    stream = _load(args.stream)
+def _cmd_betweenness(stream, args):
     tv = _temporal_node(stream, args.at)
     value = betweenness(stream, tv)
     print(_fmt(value, args))
@@ -169,8 +166,7 @@ def _cmd_betweenness(args):
     return 0
 
 
-def _cmd_profile(args):
-    stream = _load(args.stream)
+def _cmd_profile(stream, args):
     if args.samples < 1:
         raise StreamError("--samples must be >= 1")
     result = profile(stream, args.samples)
@@ -198,7 +194,7 @@ def run(argv):
     except SystemExit as exc:
         return exc.code if exc.code is not None else 2
     try:
-        return _COMMANDS[args.command](args)
+        return _COMMANDS[args.command](_load(args.stream), args)
     except (ValueError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1

@@ -113,17 +113,20 @@ def _y_min(from_v, t_hi):
 
 
 def _anchored(stream, u, w, tv, ll):
-    """`_anchor`, its reach bounds read from the filled lists u->v, v->w;
-    the stream's frames serve only the stream's own list."""
-    x_max = _x_max(stream._latency_lists[u][tv.node], tv.time)
-    y_min = _y_min(stream._latency_lists[tv.node][w], tv.time)
+    """`_anchor` of the pair (u, w) at tv, once the nodes and tv are
+    checked against the stream, with its reach bounds read from the lists
+    u->v and v->w, filled for u and v."""
+    stream.check_nodes(u, w)
+    stream.check_temporal_node(tv)
+    table = _lists(stream, (u, tv.node))
+    x_max = _x_max(table[u][tv.node], tv.time)
+    y_min = _y_min(table[tv.node][w], tv.time)
     if x_max is None or y_min is None:
         return None
-    frames = stream._frames if ll is stream._latency_lists[u][w] else {}
-    return _anchor(stream, u, w, tv, ll, x_max, y_min, frames)
+    return _anchor(stream, u, w, tv, ll, x_max, y_min)
 
 
-def _anchor(stream, u, w, tv, ll, x_max, y_min, frames, through=None):
+def _anchor(stream, u, w, tv, ll, x_max, y_min, through=None):
     """(frame, vol_tv): the `_frame` of the anchor latency pair and the
     volume of its shortest fastest paths through tv; None when no shortest
     fastest path from u to w involves tv.  tv's time may also be a `Poly`
@@ -144,10 +147,10 @@ def _anchor(stream, u, w, tv, ll, x_max, y_min, frames, through=None):
     y_min place t among the event times, so every comparison is on event
     times.
 
-    Of the contribution, only vol_tv depends on t.  The frame is read from
-    `frames` by (u, w, anchor index), or built and kept there, only once
-    the distance test passes; `frames` is the stream's `_frames` for the
-    stream's own list, and a throwaway dict for a caller's own list."""
+    Of the contribution, only vol_tv depends on t.  Once the distance test
+    passes, the frame is read from the stream's `_frames` by (u, w, anchor
+    index), or built and kept there, when `ll` is the stream's own list
+    (`latency_lists`); a caller's own list gets a frame that is not kept."""
     k = bisect_left(ll.arrivals, y_min)
     if k >= bisect_right(ll.starts, x_max):
         return None
@@ -160,6 +163,7 @@ def _anchor(stream, u, w, tv, ll, x_max, y_min, frames, through=None):
         before, after = through(x, u, y, w)
     if whole.distance != before.distance + after.distance:
         return None
+    frames = stream._frames if ll is _lists(stream, (u,))[u][w] else {}
     frame = frames.get((u, w, k))
     if frame is None:
         frame = frames[u, w, k] = _frame(stream, u, w, x, y, ll, whole)
@@ -215,9 +219,6 @@ def cell_ratio(stream, u, w, tv, ll, i, j):
     Points exactly on the outer support boundary use the outermost cell
     (the closure convention; the boundary itself has measure zero).
     """
-    stream.check_nodes(u, w)
-    stream.check_temporal_node(tv)
-    _lists(stream, (u, tv.node))
     found = _anchored(stream, u, w, tv, ll)
     if found is None:
         return Q(0)
@@ -232,9 +233,6 @@ def cell_ratio(stream, u, w, tv, ll, i, j):
 def contribution(stream, u, w, tv, ll):
     """Exact contribution of the ordered pair (u, w) to the betweenness of
     the temporal node tv, with the anchor latency pair when non-zero."""
-    stream.check_nodes(u, w)
-    stream.check_temporal_node(tv)
-    _lists(stream, (u, tv.node))
     found = _anchored(stream, u, w, tv, ll)
     return ContributionResult(Q(_value(found)), found and found[0][0])
 

@@ -15,7 +15,6 @@ it, not to omega.  Gap graphs and their BFS tables do not depend on the
 source: the stream's slot tables hold them once for every sweep.
 """
 
-import weakref
 from math import factorial
 from operator import itemgetter
 from typing import NamedTuple
@@ -107,12 +106,10 @@ class SweepTables:
     event time first + n - 1, and takes its slots from that index.  A given
     `slot` places a source time that the stream cannot place: a `Poly`
     t_k + s on the open gap of that slot, whose sizes are then polynomials
-    in s (`betweenness.gap_polynomial`).  The stream, whose `_sweeps` holds
-    the tables, is held by a weak reference: no cycle keeps it alive."""
+    in s (`betweenness.gap_polynomial`).  The tables hold no reference to
+    their stream, whose `_sweeps` holds them: every read is given it."""
 
     def __init__(self, stream, i, u, slot=None):
-        self._stream = weakref.ref(stream)
-        self.source = (i, u)
         if slot is None:
             slot = stream.slot(i)
         self.first = (slot + 1) // 2
@@ -127,9 +124,9 @@ class SweepTables:
         """Sweep steps run so far (of len(times) - 1 planned)."""
         return len(self.states) - 1
 
-    def _state(self, k):
+    def _state(self, k, stream):
         """(dist, vol) maps at times[k], running the sweep up to it."""
-        stream, states, times = self._stream(), self.states, self.times
+        states, times = self.states, self.times
         while len(states) <= k:
             n = len(states)
             slot = 2 * (self.first + n) - 1
@@ -137,22 +134,22 @@ class SweepTables:
                                    times[n] - times[n - 1], *states[-1]))
         return states[k]
 
-    def state_at(self, j):
+    def state_at(self, j, stream):
         """(dist, vol) maps at time j, source time <= j <= omega."""
         times = self.times
-        n, on = self._stream()._place(j)
+        n, on = stream._place(j)
         # k counts the event times on the table up to j
         k = n - self.first
         if k <= 0 and j < times[0]:
             raise StreamError("query time %s before source time %s"
-                              % (j, self.source[0]))
+                              % (j, times[0]))
         if on or times[k] == j:
-            return self._state(k)
+            return self._state(k, stream)
         # every event time after the source is on the table, so j lies in a
         # gap, slot 2n, which is also the graph at j
-        return self.on_gap(n, j)
+        return self.on_gap(n, j, stream)
 
-    def on_gap(self, n, j):
+    def on_gap(self, n, j, stream):
         """(dist, vol) maps at time j on the open gap of slot 2n, later than
         the table's time before it (event time n - 1, or the source): that
         state extended across the rest.  j may be a `Poly` t_k + s, which
@@ -160,8 +157,8 @@ class SweepTables:
         state = self._extensions.get(j)
         if state is None:
             k = n - self.first
-            state = _advance(self._stream(), 2 * n, 2 * n, j - self.times[k],
-                             *self._state(k))
+            state = _advance(stream, 2 * n, 2 * n, j - self.times[k],
+                             *self._state(k, stream))
             self._extensions[j] = state
         return state
 
@@ -189,7 +186,7 @@ def vsp(stream, src, dst):
 def _vsp(stream, i, u, j, v):
     """vsp from (i, u) to (j, v), without validating them: both temporal
     nodes are in the stream and i <= j."""
-    dist, vol = sweep_tables(stream, i, u).state_at(j)
+    dist, vol = sweep_tables(stream, i, u).state_at(j, stream)
     d = dist.get(v)
     if d is None:
         return VspResult(V_ZERO, None)

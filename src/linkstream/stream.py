@@ -19,7 +19,7 @@ from bisect import bisect_right
 from math import gcd, lcm
 from typing import NamedTuple
 
-from .numbers import Q, as_q, parse_time
+from .numbers import Q, parse_time
 from .static_graph import bfs_counts, connected_components
 
 
@@ -268,11 +268,11 @@ class LinkStream:
 
     # -- integer time lattice ----------------------------------------------
 
-    def scale(self, times=()):
-        """L, the lcm of the denominators of alpha, omega, every interval
-        bound and `times`: every one of these times is a multiple of 1/L.
-        The stream's own L, without `times`, is computed when it is built."""
-        return lcm(self._scale, *(as_q(t).denominator for t in times))
+    def scale(self):
+        """L, the lcm of the denominators of alpha, omega and every interval
+        bound, computed when the stream is built: every one of these times
+        is a multiple of 1/L."""
+        return self._scale
 
     def lattice(self):
         """(twin, L): L is `scale()`, and twin, built with the stream

@@ -57,6 +57,20 @@ class TestVolumes:
         assert code == 0 and err == ""
         assert out.splitlines()[0] == "2 2"
 
+    @pytest.mark.parametrize("src, dst", [(("1/4", "a"), ("73/4", "e")),
+                                          (("1/3", "a"), ("55/3", "e"))],
+                             ids=["quarters", "thirds"])
+    def test_verify_between_off_lattice_times(self, capsys, demo_path, src,
+                                              dst):
+        """The grids refine the query times' denominators too, not only
+        those of the demo's integer times."""
+        code, out, err = invoke(
+            capsys, "volumes", "--stream", demo_path,
+            "--from", *src, "--to", *dst, "--verify",
+        )
+        assert code == 0 and err == ""
+        assert out.splitlines() == ["2 2", "distance 3"]
+
     def test_decimal(self, capsys, demo_path):
         code, out, _ = invoke(
             capsys, "volumes", "--stream", demo_path,

@@ -28,7 +28,7 @@ from linkstream import (
     vsp,
 )
 
-from conftest import DEMO_TEXT, random_stream, seeded
+from conftest import DEMO_TEXT, random_stream, relay_stream, seeded
 from test_lattice import huge_stream, integer_stream, quarters_stream
 from test_lazy import fresh, ticks
 from test_shared_state import quarter_stream
@@ -496,3 +496,39 @@ class TestFrameCells:
         except VolumeError:
             got = VolumeError
         assert got == total
+
+
+SELF_STREAMS = {"random": random_stream, "relay": relay_stream,
+                "quarter": quarter_stream, "huge": huge_stream}
+
+
+class TestSelfPairs:
+    """A pair (u, u) contributes 0 (the proof is in `betweenness._anchors`):
+    its anchor is an instantaneous (t, t) at an event time t, found only
+    when v == u, and its frame has no cell of non-zero area."""
+
+    @staticmethod
+    def check(stream):
+        bounds = sorted({stream.alpha, stream.omega, *stream.event_times()})
+        events = set(stream.event_times())
+        times = bounds + [(b + b2) / 2 for b, b2 in zip(bounds, bounds[1:])]
+        for u in stream.nodes:
+            ll = latency_lists(stream, u)[u]
+            for t in times:
+                for v in stream.nodes:
+                    res = contribution(stream, u, u, TemporalNode(t, v), ll)
+                    assert res.value == 0, (stream.serialize(), u, t, v)
+                    anchored = v == u and t in events
+                    assert res.anchor == ((t, t) if anchored else None)
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(kind=st.sampled_from(sorted(SELF_STREAMS)),
+           seed=st.integers(0, 10**6))
+    def test_contribute_zero(self, kind, seed):
+        self.check(SELF_STREAMS[kind](seeded(seed)))
+
+    @pytest.mark.parametrize("text", [DEMO_TEXT, "3 3\na b 3 3\n",
+                                      "0 4\na b 0 4\nb c 2 2\n"],
+                             ids=["demo", "instant", "window_ends"])
+    def test_contribute_zero_on_fixed_streams(self, text):
+        self.check(parse_stream(text))

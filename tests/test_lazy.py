@@ -293,14 +293,13 @@ class TestPlacement:
         state, also when the source lies off the event times."""
         stream = STREAMS[kind](seeded(3600 + seed))
         for x in ticks(stream)[1:]:
-            # the tables hold their stream by a weak reference: keep it
             queried = fresh(stream)
             tables = sweep_tables(queried, x, stream.nodes[0])
             for before in (x - Q(1, 10**40), x - Q(1, 8)):
                 if before >= stream.alpha:
                     with pytest.raises(StreamError, match="before source"):
-                        tables.state_at(before)
-            assert tables.state_at(x) is tables.states[0]
+                        tables.state_at(before, queried)
+            assert tables.state_at(x, queried) is tables.states[0]
             assert tables.steps_run == 0 and not tables._extensions
 
 

@@ -560,7 +560,8 @@ class TestWindowOnTicks:
                         (stream.slot, t), (stream.gap, t, True),
                         (stream.gap, t, False), (stream.graph_at, t),
                         (stream.check_temporal_node, tv),
-                        (SweepTables, stream, t, u), (tables.state_at, t),
+                        (SweepTables, stream, t, u),
+                        (tables.state_at, t, stream),
                         (latency, stream, tv, v),
                         (latency, stream, first, v, t),
                         (vsp, stream, first, TemporalNode(t, v)),
@@ -630,12 +631,8 @@ class TestGap:
 
     def test_scale(self, demo):
         assert demo.scale() == 1
-        assert demo.scale([Q(1, 3)]) == 3
-        assert demo.scale() == 1
         quarters = LinkStream(Q(0), Q(10), "ab", {("a", "b"): [(Q(1, 4), Q(3, 2))]})
         assert quarters.scale() == 4
-        assert quarters.scale([Q(1, 3), Q(5, 6)]) == 12
-        assert quarters.scale([Q(7), 2]) == 4
 
 
 class TestLinkStreamValidation:

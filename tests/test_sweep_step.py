@@ -108,12 +108,12 @@ class TestStep:
                     stream, stream.gap(b, False), stream.slot(b), b - a,
                     *chain[-1]))
             for k in range(len(times)):
-                assert_same(tables._state(k), chain[k])
+                assert_same(tables._state(k, stream), chain[k])
             for k, j in gap_times(times):
                 slot = stream.slot(j)
                 expected = reference_advance(stream, slot, slot, j - times[k],
                                              *chain[k])
-                assert_same(tables.state_at(j), expected)
+                assert_same(tables.state_at(j, stream), expected)
 
     def test_steps_run_follow_the_latest_read(self, kind, seed):
         stream = STREAMS[kind](seeded(4200 + seed))
@@ -124,7 +124,7 @@ class TestStep:
             rng.shuffle(reads)
             latest = 0
             for k, j in reads:
-                tables.state_at(j)
+                tables.state_at(j, stream)
                 latest = max(latest, k)
                 assert tables.steps_run == latest
 
@@ -135,9 +135,9 @@ class TestStep:
             extensions = dict(gap_times(tables.times))
             seen = []
             for k in range(len(tables.times)):
-                reads = [tables._state(k)]
+                reads = [tables._state(k, stream)]
                 if k in extensions:
-                    reads.append(tables.state_at(extensions[k]))
+                    reads.append(tables.state_at(extensions[k], stream))
                 seen += [(state, typed(state)) for state in reads]
                 for state, copy in seen:
                     assert typed(state) == copy
@@ -160,6 +160,6 @@ class TestReachedVolumes:
             tables = SweepTables(stream, x, u)
             reads = tables.times + [j for _, j in gap_times(tables.times)]
             for j in reads:
-                dist, vol = tables.state_at(j)
+                dist, vol = tables.state_at(j, stream)
                 assert u in dist
                 assert all(vol[w].size > 0 for w in dist)
