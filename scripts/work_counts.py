@@ -10,22 +10,23 @@ each session on a fresh parse of its stream (perfbench/workloads.py, every
 pool in pool order, each query once), and prints:
 
     oracle-verify: pair_walks=<n> usable_starts=<n> zero_duration=<n> pair_counts=<n>
-    profile: evaluations=<n> scans=<n> steps=<n> gap_passes=<n> frames=<n> sweeps=<n>
-    profile-repeat: evaluations=<n> scans=<n> steps=<n> gap_passes=<n> frames=<n> sweeps=<n>
-    synth-session: evaluations=<n> scans=<n> steps=<n> frames=<n> sweeps=<n>
+    profile: evaluations=<n> scans=<n> steps=<n> passes=<n> frames=<n> sweeps=<n>
+    profile-repeat: evaluations=<n> scans=<n> steps=<n> passes=<n> frames=<n> sweeps=<n>
+    synth-session: evaluations=<n> scans=<n> steps=<n> passes=<n> frames=<n> sweeps=<n>
 
 `pair_walks` counts the calls of `oracle._grid_contributions` (one per
 node pair that a grid's scan walks), `usable_starts` the first crossings
 from which those pairs reach their destination, `zero_duration` those that
 arrive at their own index, and `pair_counts` the calls of
-`oracle._pair_counts`.  `evaluations` counts the calls of `betweenness`,
-`scans` the boundary scans (calls of `contribution._scan`, one per prev or
-next list), `steps` the sweep steps (calls of
-`shortest_volumes._advance`), and `gap_passes` the passes of `profile`
-over the pairs of one open gap and node (calls of
-`betweenness._gap_pass`; 0 on a tree without it), `frames` the anchor
-frames built (calls of `contribution._frame`), and `sweeps` the sweep
-tables built (calls of `SweepTables.__init__`).  The counts do not depend
+`oracle._pair_counts`.  `evaluations` counts the calls of the public
+`betweenness` (`profile` makes none), `scans` the boundary scans (calls of
+`contribution._scan`, one per prev or next list), `steps` the sweep steps
+(calls of `shortest_volumes._advance`), `passes` the passes over the node
+pairs of one slot and node (calls of `betweenness._pass`: one per
+`betweenness` query, and one per slot and node that a `profile` samples;
+0 on a tree without it), `frames` the anchor frames built (calls of
+`contribution._frame`), and `sweeps` the sweep tables built (calls of
+`SweepTables.__init__`).  The counts do not depend
 on timing, so two trees can be compared line by line.
 
 DIR is the directory holding the `linkstream` package (default: `src/`
@@ -87,7 +88,7 @@ def main(argv=None):
     wrap(modules["linkstream.betweenness"], "betweenness", tally("evaluations"))
     wrap(modules["linkstream.contribution"], "_scan", tally("scans"))
     wrap(modules["linkstream.shortest_volumes"], "_advance", tally("steps"))
-    wrap(modules["linkstream.betweenness"], "_gap_pass", tally("gap_passes"))
+    wrap(modules["linkstream.betweenness"], "_pass", tally("passes"))
     wrap(modules["linkstream.contribution"], "_frame", tally("frames"))
     wrap(modules["linkstream.shortest_volumes"].SweepTables, "__init__",
          tally("sweeps"))
@@ -112,7 +113,7 @@ def main(argv=None):
     (prof,) = (e for e in workloads.pool("demo-profile")
                if isinstance(e, workloads.Profile))
     parsed = ls.parse_stream(prof.text)
-    keys = ("evaluations", "scans", "steps", "gap_passes", "frames", "sweeps")
+    keys = ("evaluations", "scans", "steps", "passes", "frames", "sweeps")
     ls.profile(parsed, prof.samples)
     report("profile", keys)
     ls.profile(parsed, prof.samples)
@@ -121,8 +122,7 @@ def main(argv=None):
         stream = ls.parse_stream(session.text)
         for t, node in (session.cold, *session.warm):
             between(stream, ls.TemporalNode(ls.parse_time(t), node))
-    report("synth-session",
-           ("evaluations", "scans", "steps", "frames", "sweeps"))
+    report("synth-session", keys)
 
 
 if __name__ == "__main__":

@@ -3,6 +3,7 @@ polynomial on an open gap between event times; and the profile sampler
 evaluating betweenness on a regular time grid for all nodes.
 """
 
+from functools import partial
 from itertools import chain, groupby
 from math import floor
 from typing import NamedTuple
@@ -10,7 +11,7 @@ from typing import NamedTuple
 from .contribution import _anchor, _value, _x_max, _y_min
 from .latencies import _lists
 from .numbers import Poly, Q, horner, on_ints, on_lattice
-from .shortest_volumes import SweepTables, VspResult, sweep_tables
+from .shortest_volumes import SweepTables, sweep_tables
 from .stream import TemporalNode
 from .volumes import Volume, _check_subset
 
@@ -23,55 +24,18 @@ def betweenness(stream, tv):
     """Betweenness of the temporal node tv: the total contribution of every
     ordered node pair (u, w), including u == w and pairs touching tv.node.
 
-    The anchor's reach bounds are placed once per destination w (y_min) and
-    once per source u (x_max); a pair lacking either contributes 0.
-
-    The sum runs on the stream's integer-time twin (`LinkStream.lattice`),
-    with times in ticks of 1/L; betweenness scales with the square of time,
-    so the twin's total is divided by L**2.  The twin's own L is 1: the
-    floor and the ceiling of the query tick place it, comparing ints only.
-    The pair values are ints or Fractions, and so is their sum until it is
-    divided.  On an open gap, the same pairs and anchors give the exact
-    polynomial in t (`gap_polynomial`)."""
+    The sum is one pass over the pairs (`_pass`) on the stream's
+    integer-time twin (`LinkStream.lattice`), in ticks of 1/L, on the slot
+    of the query tick, which its floor and ceiling place (the twin's L is
+    1), comparing ints only.  Betweenness scales with the square of time,
+    so the twin's total, an int or a Fraction, is divided by L**2.  On an
+    open gap, the same pass gives the exact polynomial in t
+    (`gap_polynomial`)."""
     stream.check_temporal_node(tv)
     twin, scale = stream.lattice()
-    tv = TemporalNode(on_lattice(tv.time, scale), tv.node)
-    total = 0
-    for found in _anchors(twin, tv, *twin._tick_bounds(tv.time)):
-        value = _value(found)
-        if value:  # most anchored pairs give 0: skip their additions
-            total += value
+    t = on_lattice(tv.time, scale)
+    _, total, _ = _pass(twin, twin.slot(t), tv.node, t)
     return Q(total, scale * scale)
-
-
-def _anchors(twin, tv, t_lo, t_hi, through=None):
-    """The `_anchor` results, None left out, of every ordered pair (u, w)
-    for a temporal node tv = (t, v) of the int twin, with t_lo <= t <= t_hi
-    the ticks that place it: the reach bounds are placed once per
-    destination w (y_min) and once per source u (x_max), and a pair lacking
-    either has no anchor.
-
-    A pair (u, u) contributes 0.  A u->u list holds only instantaneous
-    pairs (e, e), and the anchor needs e <= x_max <= t_lo <= t <= t_hi <=
-    y_min <= e, so t = e is an event time (on no gap pass, where t_lo <
-    t_hi) and the anchor's distance is 0: the distance test passes only
-    for v == u.  Both boundary scans then stop at once, as u is at
-    distance 0 from itself on the gap beside e, except at a window end,
-    where a scan gives that end alone; so a cell exists only when e is
-    both alpha and omega, and its area is 0."""
-    v = tv.node
-    table = _lists(twin, twin.nodes)
-    y_mins = {w: y for w, y in ((w, _y_min(table[v][w], t_hi))
-                                for w in twin.nodes) if y is not None}
-    for u in twin.nodes:
-        x_max = _x_max(table[u][v], t_lo)
-        if x_max is None:
-            continue
-        lists = table[u]
-        for w, y_min in y_mins.items():
-            found = _anchor(twin, u, w, tv, lists[w], x_max, y_min, through)
-            if found is not None:
-                yield found
 
 
 def gap_polynomial(stream, k, v):
@@ -97,60 +61,79 @@ def gap_polynomial(stream, k, v):
       step crosses t_{k+1} - t with terms that need d(v,x) + dp = d(v,w'),
       so dp <= ecc_k(v) too; later steps are linear in its result.
 
-    So one pass over the pairs computes it: `betweenness`'s own pairs and
-    anchors (`_anchors`), at the reach bounds of t_k and t_{k+1}, with the
-    sizes of those two crossings carried as polynomials in s through the
-    sweep step (`SweepTables.on_gap`, and a sweep from the source t_k + s).
-    It runs on the integer-time twin, as `betweenness` does.  The subset
-    guard of `_value` is split: a vol_tv of a dimension above the frame's
-    smallest raises VolumeError here; its size needs a value of t, and
-    `profile` checks it at each of its samples."""
+    So `betweenness`'s pass on the int twin (`_pass`), with no query time,
+    computes it, carrying those sizes through the sweep step as `Poly`s.  A
+    vol_tv of a dimension above the frame's smallest raises VolumeError
+    here; its size needs a value of t, and `profile` checks it."""
     stream.check_nodes(v)
     if k & 1 or not 0 <= k <= 2 * len(stream._event_times):
         raise ValueError("slot %r is not an open gap" % (k,))
     twin, scale = stream.lattice()
-    _, total, _ = _gap_pass(twin, k, v)
+    _, total, _ = _pass(twin, k, v)
     return Poly(Q(c * scale**j, scale * scale)
                 for j, c in enumerate(total.coefficients))
 
 
-def _gap_pass(twin, k, v):
-    """(t_k, total, limits) for the open gap of slot k of the int twin:
-    t_k is the tick before the gap (alpha on the first gap), total the
-    `Poly` in s of the twin's B(t_k + s, v), and limits holds (size,
-    smallest) for each anchored pair whose vol_tv has the frame's smallest
-    dimension: size, a `Poly` in s or a number, must not exceed
-    smallest.size at any t.
+def _pass(twin, k, v, time=None):
+    """(t_k, total, limits) from one pass over the ordered node pairs (u, w)
+    for node v on slot k of the int twin; t_k is the slot's event time, or
+    the tick before its open gap (alpha on the first gap).  At a time of
+    the slot, total is the twin's B(time, v).  With no time, it is the
+    slot's piece: B(t_k, v) on an event slot, and on a gap the `Poly` in s
+    of B(t_k + s, v), with limits holding (size, smallest) for each
+    anchored pair whose vol_tv has the frame's smallest dimension: size
+    must not exceed smallest.size at any t.  Elsewhere limits is empty, as
+    the subset guard has run.
 
-    Every anchored frame has a cell, so a smallest: `contribution._scan`
-    returns no boundary only for an instantaneous anchor (s, s), and here
-    x <= x_max <= t_k < t_{k+1} <= y_min <= y."""
+    Every time of the slot has the reach bounds of its two ends, t_k and
+    t_hi, the event time after it (omega on the last gap), as the latency
+    lists hold event times only: y_min once per destination w, x_max once
+    per source u; a pair lacking either has no anchor.
+
+    A pair (u, u) contributes 0.  A u->u list holds only instantaneous
+    pairs (e, e), and the anchor needs e <= x_max <= t_k <= t <= t_hi <=
+    y_min <= e, so t = e is an event time (on no gap, where t_k < t_hi)
+    and the anchor's distance is 0: the distance test passes only for v ==
+    u.  Both boundary scans then stop at once, as u is at distance 0 from
+    itself on the gap beside e, except at a window end, where a scan gives
+    that end alone; so a cell exists only when e is both alpha and omega,
+    and its area is 0."""
     ev, n = twin._event_times, k // 2
+    t_k = ev[n] if k & 1 else ev[n - 1] if n else twin.alpha
+    t_hi = ev[n] if n < len(ev) else twin.omega
+    poly = time is None and not k & 1  # a gap's piece, limits for `profile`
+    total, limits = (Poly(()), []) if poly else (0, None)
     # B = 0 on the first and the last gap: no pair reaches into the one, or
-    # out of the other
-    if not 0 < n < len(ev):
-        return (ev[n - 1] if n else twin.alpha), Poly(()), []
-    t_k = ev[n - 1]
-    time = Poly((t_k, 1))
-    source = SweepTables(twin, time, v, k)
+    # out of the other, so no sweep from t_k + s is built there
+    if poly and not 0 < n < len(ev):
+        return t_k, total, limits
+    if time is None:
+        time = Poly((t_k, 1)) if poly else t_k
+    through = partial(_through, twin, k, time, v,
+                      SweepTables(twin, time, v, k) if poly else None)
+    table = _lists(twin, twin.nodes)
+    y_mins = {w: y for w, y in ((w, _y_min(table[v][w], t_hi))
+                                for w in twin.nodes) if y is not None}
+    for u in twin.nodes:
+        x_max = _x_max(table[u][v], t_k)
+        if x_max is None:
+            continue
+        lists = table[u]
+        for w, y_min in y_mins.items():
+            found = _anchor(twin, u, w, lists[w], x_max, y_min, through)
+            value = found and _value(found, limits)
+            if value:  # most pairs give 0: skip their additions
+                total += value
+    return t_k, total, limits or ()
 
-    def through(x, u, y, w):
-        dist, vol = sweep_tables(twin, x, u).on_gap(n, time, twin)
-        # y is an event time: its state is read on the table by index, so
-        # y is never compared with the source time t_k + s, which has no
-        # order (perfbench's tracer of `state_at` bisects a table's times)
-        dist2, vol2 = source._state(twin._place(y)[0] - n, twin)
-        return VspResult(vol[v], dist[v]), VspResult(vol2[w], dist2[w])
 
-    total, limits = Poly(()), []
-    for (*_, smallest, weight), vol_tv in _anchors(
-            twin, TemporalNode(time, v), t_k, ev[n], through):
-        if vol_tv.dim > smallest.dim:  # not a subset at any t of the gap
-            _check_subset(vol_tv, smallest, "vol_div")
-        if vol_tv.dim == smallest.dim:
-            total += vol_tv.size * weight
-            limits.append((vol_tv.size, smallest))
-    return t_k, total, limits
+def _through(twin, k, t, v, source, x, u, y, w):
+    """`_anchor`'s reader in `_pass`, a partial (fewer live objects than a
+    closure): the vsps from (x,u) to (t,v) by slot k and from (t,v) to (y,w)
+    by y's slot, from `source` or the twin's own sweep, built on first read."""
+    after = source or sweep_tables(twin, t, v)
+    return (sweep_tables(twin, x, u).at(k, t, v, twin),
+            after.at(twin.slot(y), y, w, twin))
 
 
 def profile(stream, samples_per_node, threads=1):
@@ -158,10 +141,10 @@ def profile(stream, samples_per_node, threads=1):
     i = 0..samples_per_node, for every node, in deterministic order.
 
     Values are exact.  The sample times are walked once, in order, in runs
-    of one slot each.  A sample at an event time is evaluated directly; a
-    run on an open gap is the value of the gap's polynomial
-    (`gap_polynomial`) at each of its times, so the cost grows with the
-    number of gaps, not with the number of samples.
+    of one slot each, and each run is one pass per node (`_pass`): the
+    value at an event time, or the gap's polynomial (`gap_polynomial`) at
+    each time of a run on an open gap, so the cost grows with the number
+    of slots, not with the number of samples.
 
     The work runs on the stream's int twin (`LinkStream.lattice`), as
     `betweenness` does, so a repeated profile reuses its tables.  With
@@ -170,7 +153,7 @@ def profile(stream, samples_per_node, threads=1):
     i*step.numerator: it is placed by ints (`_slot`), and evaluated in
     ints (`on_ints`), each value one Fraction over the piece's
     denominator times L**2.  The subset guard's size half is checked
-    there too: each limit of the gap pass at each sample.
+    there too: each limit of a gap's pass at each sample.
 
     `threads` is accepted and ignored: the samples share the stream's
     tables, and evaluating them serially is the fastest way.  It stays
@@ -202,14 +185,10 @@ def _slot(twin, a, m):
 def _run_values(twin, k, v, ticks, m, scale):
     """Exact betweenness of (a/m, v) in the stream's units, for the
     ascending ticks a/m of slot k of the int twin (equal ticks included, as
-    in a single-instant window), from the slot's piece: the constant value
-    at an event time, whose subset guard has run, or the `_gap_pass` of a
+    in a single-instant window), from the slot's piece (`_pass`): the value
+    at an event time, whose subset guard has run, or the polynomial of a
     gap, with each limit checked at each tick, or once when constant."""
-    if k & 1:
-        t_k = twin._event_times[k // 2]
-        total, limits = Poly((betweenness(twin, TemporalNode(t_k, v)),)), []
-    else:
-        t_k, total, limits = _gap_pass(twin, k, v)
+    t_k, total, limits = _pass(twin, k, v)
     guards = []
     for size, smallest in limits:
         size_ints, size_den = on_ints(size, m)

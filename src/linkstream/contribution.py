@@ -123,16 +123,18 @@ def _anchored(stream, u, w, tv, ll):
     y_min = _y_min(table[tv.node][w], tv.time)
     if x_max is None or y_min is None:
         return None
-    return _anchor(stream, u, w, tv, ll, x_max, y_min)
+    t, v = tv
+    return _anchor(stream, u, w, ll, x_max, y_min, lambda x, u, y, w: (
+        _vsp(stream, x, u, t, v), _vsp(stream, t, v, y, w)))
 
 
-def _anchor(stream, u, w, tv, ll, x_max, y_min, through=None):
+def _anchor(stream, u, w, ll, x_max, y_min, through):
     """(frame, vol_tv): the `_frame` of the anchor latency pair and the
-    volume of its shortest fastest paths through tv; None when no shortest
-    fastest path from u to w involves tv.  tv's time may also be a `Poly`
-    t_k + s on an open gap, which no sweep can place: then through(x, u, y,
-    w) gives the vsp from (x,u) to tv and from tv to (y,w), with sizes
-    that are polynomials in s (`gap_polynomial`).
+    volume of its shortest fastest paths through a temporal node tv; None
+    when no shortest fastest path from u to w involves tv.  through(x, u,
+    y, w) gives the vsps from (x,u) to tv and from tv to (y,w), read by
+    time (`_anchored`) or by slot (`betweenness._pass`, where t may be a
+    `Poly` t_k + s on an open gap, with sizes polynomials in s).
 
     The anchor is the first pair (x, y) of `ll` such that (x,u) reaches tv
     and tv reaches (y,w).  Paths may wait, so reaching is monotone at both
@@ -156,11 +158,7 @@ def _anchor(stream, u, w, tv, ll, x_max, y_min, through=None):
         return None
     x, y = ll.starts[k], ll.arrivals[k]
     whole = _vsp(stream, x, u, y, w)
-    if through is None:
-        t, v = tv
-        before, after = _vsp(stream, x, u, t, v), _vsp(stream, t, v, y, w)
-    else:
-        before, after = through(x, u, y, w)
+    before, after = through(x, u, y, w)
     if whole.distance != before.distance + after.distance:
         return None
     frames = stream._frames if ll is _lists(stream, (u,))[u][w] else {}
@@ -237,18 +235,24 @@ def contribution(stream, u, w, tv, ll):
     return ContributionResult(Q(_value(found)), found and found[0][0])
 
 
-def _value(found):
+def _value(found, limits=None):
     """The exact contribution of an `_anchor` result, 0 for None: the sum
     over the frame's cells of area * vol_div(vol_tv, denominator), an int
     or a Fraction.  With d the frame's smallest dimension, a vol_tv of a
     dimension above d, or of dimension d and a size above the smallest, is
     not the volume of a subset of every denominator: VolumeError, as from
     that cell's `vol_div`.  One below d gives 0 on every cell, and one of
-    dimension d gives size * weight."""
+    dimension d gives size * weight.  Given a list `limits`, vol_tv's size
+    may be a `Poly` in s, which has no order: the size half of the check is
+    left to the caller, and (size, smallest) appended to `limits`."""
     if found is None:
         return 0
     (*_, smallest, weight), vol_tv = found
-    if smallest is None:
+    if smallest is None or vol_tv.dim < smallest.dim:
         return 0
-    _check_subset(vol_tv, smallest, "vol_div")
-    return vol_tv.size * weight if vol_tv.dim == smallest.dim else 0
+    if vol_tv.dim > smallest.dim or (limits is None
+                                     and vol_tv.size > smallest.size):
+        _check_subset(vol_tv, smallest, "vol_div")
+    if limits is not None:
+        limits.append((vol_tv.size, smallest))
+    return vol_tv.size * weight

@@ -107,7 +107,8 @@ class SweepTables:
     `slot` places a source time that the stream cannot place: a `Poly`
     t_k + s on the open gap of that slot, whose sizes are then polynomials
     in s (`betweenness.gap_polynomial`).  The tables hold no reference to
-    their stream, whose `_sweeps` holds them: every read is given it."""
+    their stream, whose `_sweeps` holds them: every read is given it.  Other
+    modules read a node by time (`_vsp`) or by slot (`at`), not a state."""
 
     def __init__(self, stream, i, u, slot=None):
         if slot is None:
@@ -147,19 +148,24 @@ class SweepTables:
             return self._state(k, stream)
         # every event time after the source is on the table, so j lies in a
         # gap, slot 2n, which is also the graph at j
-        return self.on_gap(n, j, stream)
+        return self._at_slot(2 * n, j, stream)
 
-    def on_gap(self, n, j, stream):
-        """(dist, vol) maps at time j on the open gap of slot 2n, later than
-        the table's time before it (event time n - 1, or the source): that
-        state extended across the rest.  j may be a `Poly` t_k + s, which
-        `state_at` cannot place."""
+    def at(self, k, j, node, stream):
+        """`VspResult` of (j, node), for j a time of slot k (`_at_slot`)."""
+        return _read(self._at_slot(k, j, stream), node)
+
+    def _at_slot(self, k, j, stream):
+        """(dist, vol) maps at time j of slot k, later than the table's time
+        before it (event time or source): on a gap, that state extended
+        across the rest, kept by j.  j is read by its slot, never placed nor
+        compared, so it may be a `Poly` t_k + s, which `state_at` cannot."""
+        i = (k + 1) // 2 - self.first  # the table's time at or before j
+        if k & 1:
+            return self._state(i, stream)
         state = self._extensions.get(j)
         if state is None:
-            k = n - self.first
-            state = _advance(stream, 2 * n, 2 * n, j - self.times[k],
-                             *self._state(k, stream))
-            self._extensions[j] = state
+            state = self._extensions[j] = _advance(
+                stream, k, k, j - self.times[i], *self._state(i, stream))
         return state
 
 
@@ -186,7 +192,12 @@ def vsp(stream, src, dst):
 def _vsp(stream, i, u, j, v):
     """vsp from (i, u) to (j, v), without validating them: both temporal
     nodes are in the stream and i <= j."""
-    dist, vol = sweep_tables(stream, i, u).state_at(j, stream)
+    return _read(sweep_tables(stream, i, u).state_at(j, stream), v)
+
+
+def _read(state, v):
+    """The `VspResult` of node v in a sweep state, its (dist, vol) maps."""
+    dist, vol = state
     d = dist.get(v)
     if d is None:
         return VspResult(V_ZERO, None)

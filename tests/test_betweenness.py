@@ -176,16 +176,22 @@ def direct(stream, prof):
 
 @pytest.fixture
 def evaluations(monkeypatch):
-    """The temporal nodes that `profile` evaluates directly, in order."""
-    calls = []
-    evaluate = per_gap.betweenness
+    """(passes, calls): the pair passes that run, as (slot, node, time),
+    and the temporal nodes given to the public `betweenness`, in order."""
+    passes, calls = [], []
+    run_pass, evaluate = per_gap._pass, per_gap.betweenness
+
+    def counted_pass(twin, k, v, time=None):
+        passes.append((k, v, time))
+        return run_pass(twin, k, v, time)
 
     def counted(stream, tv):
         calls.append(tv)
         return evaluate(stream, tv)
 
+    monkeypatch.setattr(per_gap, "_pass", counted_pass)
     monkeypatch.setattr(per_gap, "betweenness", counted)
-    return calls
+    return passes, calls
 
 
 def open_gaps(stream):
@@ -286,7 +292,8 @@ class TestPerGapProfile:
         fresh = LinkStream(demo.alpha, demo.omega, demo.nodes, demo.presence)
         prof = profile(fresh, 1000)
         assert len(prof.samples) == 5005
-        assert len(evaluations) < 1000
+        passes, calls = evaluations
+        assert len(passes) < 1000 and calls == []
 
     @pytest.mark.parametrize("make,seed", VARYING_GAPS)
     def test_repeat_reuses_the_twin(self, monkeypatch, make, seed):
@@ -323,32 +330,23 @@ class TestPerGapProfile:
                 assert per_gap._slot(twin, a, m) == twin.slot(Q(a, m)), (n, i)
 
     @pytest.mark.parametrize("make,seed", VARYING_GAPS)
-    def test_direct_only_at_events(self, demo, evaluations, monkeypatch,
-                                   make, seed):
-        """`betweenness` runs once per sample at an event time, and nowhere
-        else; each gap slot that holds samples gets one gap pass per node."""
-        passes = []
-        gap_pass = per_gap._gap_pass
-
-        def counted(twin, k, v):
-            passes.append((k, v))
-            return gap_pass(twin, k, v)
-
-        monkeypatch.setattr(per_gap, "_gap_pass", counted)
+    def test_direct_only_at_events(self, demo, evaluations, make, seed):
+        """Each slot that holds samples, event time or gap, gets one pair
+        pass per node and no query time: the samples at an event time take
+        its constant directly, and those of a gap its polynomial.  The
+        public `betweenness` is never called."""
         stream = demo if make is None else make(seeded(seed))
         stream = LinkStream(stream.alpha, stream.omega, stream.nodes,
                             stream.presence)
         n = 1000 if make is None else 120
         prof = profile(stream, n)
-        slots = [stream.slot(tv.time) for tv, _ in prof.samples]
-        events = [tv for (tv, _), k in zip(prof.samples, slots) if k & 1]
-        scale = stream.scale()
-        assert [(Q(t, scale), v) for t, v in evaluations] == events
-        gaps = {(k, tv.node) for (tv, _), k in zip(prof.samples, slots)
-                if not k & 1}
-        assert sorted(passes) == sorted(gaps)
+        passes, calls = evaluations
+        slots = {(stream.slot(tv.time), tv.node) for tv, _ in prof.samples}
+        assert sorted(passes) == sorted((k, v, None) for k, v in slots)
+        assert calls == []
         if make is None:
-            assert (len(evaluations), len(passes)) == (25, 125)
+            kinds = Counter("event" if k & 1 else "gap" for k, _, _ in passes)
+            assert kinds == {"event": 25, "gap": 125}
 
 
 # every kind of time: ints, quarters, denominators near 10**30, and relay
@@ -391,26 +389,37 @@ class TestGapPolynomial:
             gap_polynomial(demo, 2, "z")
 
     @pytest.mark.parametrize("wrong", ["higher_dim", "larger_size",
-                                       "larger_varying_size"])
+                                       "larger_varying_size",
+                                       "higher_dim_at_events",
+                                       "larger_size_at_events"])
     def test_profile_keeps_the_subset_guard(self, monkeypatch, wrong):
         """With vol_tv patched to a higher dimension or a larger size (or
-        only where its size varies on the gap), the gap passes of `profile`
-        raise VolumeError on their own: the direct evaluations at event
-        times are replaced by 0."""
+        only where its size varies on the gap), in the passes of the gaps
+        alone, or in those of the event slots alone, `profile` raises
+        VolumeError."""
         module = importlib.import_module("linkstream.contribution")
-        real = module.vol_mul
+        real, run_pass = module.vol_mul, per_gap._pass
+        at_events = wrong.endswith("_at_events")
+        slot = []
+
+        def in_slot(twin, k, v, time=None):
+            slot[:] = [k]
+            return run_pass(twin, k, v, time)
 
         def patched(a, b):
             vol = real(a, b)
-            if wrong == "higher_dim":
+            if bool(slot[0] & 1) != at_events:
+                return vol
+            if wrong.startswith("higher_dim"):
                 return Volume(vol.size, vol.dim + 1)
-            if wrong == "larger_size" or (isinstance(vol.size, Poly)
-                                          and len(vol.size.coefficients) > 1):
+            if wrong != "larger_varying_size" or (
+                    isinstance(vol.size, Poly)
+                    and len(vol.size.coefficients) > 1):
                 return Volume(vol.size + 10**9, vol.dim)
             return vol
 
-        monkeypatch.setattr(per_gap, "betweenness", lambda stream, tv: Q(0))
-        profile(parse_stream(DEMO_TEXT), 1000)  # no gap pass raises as is
+        monkeypatch.setattr(per_gap, "_pass", in_slot)
+        profile(parse_stream(DEMO_TEXT), 1000)  # no pass raises as is
         monkeypatch.setattr(module, "vol_mul", patched)
         with pytest.raises(VolumeError):
             profile(parse_stream(DEMO_TEXT), 1000)

@@ -503,7 +503,7 @@ SELF_STREAMS = {"random": random_stream, "relay": relay_stream,
 
 
 class TestSelfPairs:
-    """A pair (u, u) contributes 0 (the proof is in `betweenness._anchors`):
+    """A pair (u, u) contributes 0 (the proof is in `betweenness._pass`):
     its anchor is an instantaneous (t, t) at an event time t, found only
     when v == u, and its frame has no cell of non-zero area."""
 

@@ -7,7 +7,9 @@ stays a decision of `stream.py` alone.  Likewise, apart from `stream.py`,
 which declares them, the per-query tables are read by one module each:
 the sweeps by `shortest_volumes.py`, the anchor frames by
 `contribution.py` and the latency lists by `latencies.py`.  And no sweep
-points back at its stream: every read is given it.
+points back at its stream: every read is given it.  The states inside a
+sweep are read by `shortest_volumes.py` alone: other modules read one
+node's `VspResult` by time (`_vsp`) or by slot (`SweepTables.at`).
 """
 
 import ast
@@ -37,6 +39,8 @@ MEMOS = {"_snapshots", "_bfs", "_components"}
 OTHERS = sorted(p.name for p in PACKAGE.glob("*.py") if p.name != "stream.py")
 OWNERS = {"_sweeps": "shortest_volumes.py", "_frames": "contribution.py",
           "_latency_lists": "latencies.py"}
+SWEEP_STEPS = {"_state", "_at_slot", "on_gap", "_advance"}
+SWEEP_FIELDS = {"states", "first", "_extensions"}
 
 
 def memo_reads(source, names=MEMOS):
@@ -79,6 +83,40 @@ def test_every_owner_reads_its_table():
     for name, owner in OWNERS.items():
         assert name in memo_reads((PACKAGE / owner).read_text(encoding="utf-8"),
                                   {name})
+
+
+def sweep_state_reads(source):
+    """The sweep internals a module names: a step as an attribute, a name
+    or an import, and a field as an attribute, in source order."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute):
+            name, names = node.attr, SWEEP_STEPS | SWEEP_FIELDS
+        elif isinstance(node, ast.Name):
+            name, names = node.id, SWEEP_STEPS
+        elif isinstance(node, ast.alias):
+            name, names = node.name, SWEEP_STEPS
+        else:
+            continue
+        if name in names:
+            found.append((node.lineno, node.col_offset, name))
+    return [name for *_, name in sorted(found)]
+
+
+def test_finds_a_sweep_state_read():
+    source = ("from .shortest_volumes import _advance\n"
+              "def f(tables, stream, first):\n"
+              "    n = first + tables.first\n"
+              "    return tables._state(n, stream), _advance\n")
+    assert sweep_state_reads(source) == ["_advance", "first", "_state",
+                                         "_advance"]
+
+
+@pytest.mark.parametrize("module", sorted(
+    p.name for p in PACKAGE.glob("*.py") if p.name != "shortest_volumes.py"))
+def test_only_shortest_volumes_reads_sweep_states(module):
+    source = (PACKAGE / module).read_text(encoding="utf-8")
+    assert sweep_state_reads(source) == []
 
 
 @pytest.mark.parametrize("parsed", [True, False], ids=["parsed", "int_built"])

@@ -1,6 +1,7 @@
 import pytest
 
 from linkstream import (
+    LinkStream,
     Q,
     SnapshotGraph,
     StreamError,
@@ -117,3 +118,27 @@ class TestSweepProperties:
         res = vsp(stream, tn(4, "a"), tn(4, "c"))
         assert res.distance == 2
         assert res.volume == Volume(Q(2), 0)
+
+
+def int_built():
+    return LinkStream(0, 10, "abc", {("a", "b"): [(1, 6)], ("b", "c"): [(4, 8)]})
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="the sweep cache `_sweeps[(i, u)]` and a sweep's extensions "
+    "`_extensions[j]` are keyed by value, so an int time and the equal "
+    "Fraction share an entry, and its sizes keep the type of the first query",
+)
+def test_size_type_does_not_depend_on_earlier_queries():
+    """On an int-built stream, a query with one Fraction time, at the
+    source or at the destination, gives a Fraction size, alone and after
+    the same query with int times."""
+    for src, dst in [(Q(2), 7), (2, Q(7))]:
+        query = TemporalNode(src, "a"), TemporalNode(dst, "c")
+        alone = vsp(int_built(), *query).volume.size
+        stream = int_built()
+        vsp(stream, TemporalNode(2, "a"), TemporalNode(7, "c"))
+        after = vsp(stream, *query).volume.size
+        assert (type(alone), alone) == (Q, 10), (src, dst)
+        assert (type(after), after) == (Q, 10), (src, dst)
